@@ -11,7 +11,8 @@
 namespace gpa::baselines {
 
 /// O = softmax(scale·QKᵀ + mask ? 0 : -inf) · V, computed densely.
-/// Fully-masked rows produce zero rows (DESIGN.md §4).
+/// Fully-masked rows produce zero rows, as softmax_rows does and as
+/// every kernel's finalize does for a row with no edges (l = 0).
 /// scale < 0 selects 1/sqrt(dk).
 void reference_attention(const Matrix<float>& q, const Matrix<float>& k,
                          const Matrix<float>& v, const Matrix<std::uint8_t>& mask,

@@ -3,9 +3,10 @@
 //
 // Every kernel is the same row-parallel fold; they differ only in the
 // neighbor enumeration (`Get_Neighbors`). The fold below is the paper's
-// inner loop with one algebraic change documented in DESIGN.md §4: the
-// accumulator stays unnormalised (U = l·O) and is divided by l once at
-// finalisation, instead of renormalising on every edge. Per edge:
+// inner loop with one algebraic change: the accumulator stays
+// unnormalised (U = l·O) and is divided by l once at finalisation,
+// instead of renormalising on every edge, which saves a d-wide divide
+// per edge. Per edge:
 //
 //   w      = scale · (Q_i · K_j)          (optionally · mask value)
 //   m_new  = max(m, w)

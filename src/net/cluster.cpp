@@ -172,31 +172,33 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
   const std::uint64_t rid = next_ring_id_++;
   ClusterRingReport report;
 
-  auto slice = [&](const Matrix<float>& src, Index lo, Index hi) {
-    Matrix<float> s(hi - lo, d);
-    if (hi > lo) {
-      std::memcpy(s.data(), src.row(lo), static_cast<std::size_t>(hi - lo) *
-                                             static_cast<std::size_t>(d) * sizeof(float));
-    }
-    return s;
-  };
+  auto bytes_of = [](const Writer& w) { return ConstBytes{w.buf.data(), w.buf.size()}; };
 
-  // Step 0: every node gets its Q rows and the K/V shard it owns.
+  // Step 0: every node gets its Q rows and the K/V shard it owns. The
+  // request goes out as gather parts: the fields every node shares are
+  // encoded once, and the Q/K/V row ranges are sent from the caller's
+  // matrices in place, each behind its put_matrix dims.
+  Writer common;
+  put_partition(common, partition);
+  put_csr(common, mask);
+  common.u8(causal ? 1 : 0);
+  common.f32(scale);
   for (Index p = 0; p < P; ++p) {
     const Index lo = partition.boundaries[static_cast<std::size_t>(p)];
     const Index hi = partition.boundaries[static_cast<std::size_t>(p) + 1];
-    Writer w;
-    w.u64(rid);
-    w.u32(static_cast<std::uint32_t>(P));
-    w.u32(static_cast<std::uint32_t>(p));
-    put_partition(w, partition);
-    put_csr(w, mask);
-    w.u8(causal ? 1 : 0);
-    w.f32(scale);
-    put_matrix(w, slice(q, lo, hi));
-    put_matrix(w, slice(k, lo, hi));
-    put_matrix(w, slice(v, lo, hi));
-    peers_[static_cast<std::size_t>(p)].rpc->call(Op::RingStart, std::move(w.buf));
+    Writer head;
+    head.u64(rid);
+    head.u32(static_cast<std::uint32_t>(P));
+    head.u32(static_cast<std::uint32_t>(p));
+    Writer dims;
+    put_matrix_dims(dims, hi - lo, d);
+    const std::size_t row_bytes =
+        static_cast<std::size_t>(hi - lo) * static_cast<std::size_t>(d) * sizeof(float);
+    const ConstBytes parts[] = {bytes_of(head), bytes_of(common),
+                                bytes_of(dims), {q.row(lo), row_bytes},
+                                bytes_of(dims), {k.row(lo), row_bytes},
+                                bytes_of(dims), {v.row(lo), row_bytes}};
+    peers_[static_cast<std::size_t>(p)].rpc->call(Op::RingStart, parts);
   }
 
   // Steps 1..P-1: rotate. Node p needs shard (p+s) mod P at step s; the
@@ -213,11 +215,13 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
       Reader fr(fetched);
       const Index idx = static_cast<Index>(fr.u32());
       GPA_CHECK(fr.ok && idx == shard, "cluster: ring fetch returned wrong shard");
-      Writer w;
-      w.u64(rid);
-      w.u32(static_cast<std::uint32_t>(shard));
-      w.bytes(fr.p, fr.remaining());  // shard K/V matrices, verbatim
-      peers_[static_cast<std::size_t>(p)].rpc->call(Op::RingShard, std::move(w.buf));
+      Writer head;
+      head.u64(rid);
+      head.u32(static_cast<std::uint32_t>(shard));
+      // The shard's K/V matrices are relayed verbatim, straight from
+      // the fetch response.
+      const ConstBytes parts[] = {bytes_of(head), {fr.p, fr.remaining()}};
+      peers_[static_cast<std::size_t>(p)].rpc->call(Op::RingShard, parts);
       ++report.shard_deliveries;
     }
   }

@@ -1,7 +1,9 @@
 #include "net/frame.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
-#include "net/transport.hpp"
+#include "net/crc32c.hpp"
 #include "obs/metrics.hpp"
 
 namespace gpa::net {
@@ -10,7 +12,7 @@ namespace {
 
 // Per-process wire totals, counted at the transport boundary (the
 // loopback arm goes through the same two functions, so loopback tests
-// see the same accounting as TCP). Byte counts include the 24 bytes of
+// see the same accounting as TCP). Byte counts include the 20 bytes of
 // header + trailer — they answer "what crossed the wire", not "payload
 // goodput".
 struct WireMetrics {
@@ -49,26 +51,26 @@ const char* to_string(WireStatus s) {
   return "unknown";
 }
 
-std::uint64_t payload_checksum(const std::uint8_t* data, std::size_t n) {
-  // Same constants as Fnv1a (common/fnv1a.hpp), folded bytewise so the
-  // hash does not depend on how the payload would pack into words.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
+std::uint32_t payload_checksum(const std::uint8_t* data, std::size_t n) {
+  return crc32c_extend(0, data, n);
 }
 
 namespace {
 
-void put_header(std::vector<std::uint8_t>& out, const Frame& f) {
-  Writer w;
-  w.u32(kFrameMagic);
-  w.u16(f.type);
-  w.u16(f.flags);
-  w.u64(f.payload.size());
-  out.insert(out.end(), w.buf.begin(), w.buf.end());
+void store_le(std::uint8_t* p, std::uint64_t v, std::size_t bytes) {
+  for (std::size_t b = 0; b < bytes; ++b) p[b] = static_cast<std::uint8_t>(v >> (8 * b));
+}
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  Reader r(p, 4);
+  return r.u32();
+}
+
+void put_header(std::uint8_t* out, std::uint16_t type, std::uint16_t flags, std::uint64_t len) {
+  store_le(out, kFrameMagic, 4);
+  store_le(out + 4, type, 2);
+  store_le(out + 6, flags, 2);
+  store_le(out + 8, len, 8);
 }
 
 struct Header {
@@ -96,15 +98,14 @@ WireStatus parse_header(const std::uint8_t* data, std::size_t n, Header& h) {
 }  // namespace
 
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
-  GPA_CHECK(!frame.payload.empty(), "net: cannot encode an empty frame payload");
-  GPA_CHECK(frame.payload.size() <= kMaxFramePayload, "net: frame payload exceeds cap");
-  out.clear();
-  out.reserve(kFrameHeaderBytes + frame.payload.size() + kFrameTrailerBytes);
-  put_header(out, frame);
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  Writer w;
-  w.u64(payload_checksum(frame.payload.data(), frame.payload.size()));
-  out.insert(out.end(), w.buf.begin(), w.buf.end());
+  const std::size_t n = frame.payload.size();
+  GPA_CHECK(n > 0, "net: cannot encode an empty frame payload");
+  GPA_CHECK(n <= kMaxFramePayload, "net: frame payload exceeds cap");
+  out.resize(kFrameHeaderBytes + n + kFrameTrailerBytes);
+  put_header(out.data(), frame.type, frame.flags, n);
+  std::memcpy(out.data() + kFrameHeaderBytes, frame.payload.data(), n);
+  store_le(out.data() + kFrameHeaderBytes + n, payload_checksum(frame.payload.data(), n),
+           kFrameTrailerBytes);
 }
 
 WireStatus decode_frame(const std::uint8_t* data, std::size_t n, Frame& out) {
@@ -115,9 +116,7 @@ WireStatus decode_frame(const std::uint8_t* data, std::size_t n, Frame& out) {
   if (n < want) return WireStatus::Truncated;
   if (n > want) return WireStatus::Malformed;  // trailing junk
   const std::uint8_t* payload = data + kFrameHeaderBytes;
-  Reader tr(payload + h.len, kFrameTrailerBytes);
-  const std::uint64_t stated = tr.u64();
-  if (payload_checksum(payload, static_cast<std::size_t>(h.len)) != stated) {
+  if (payload_checksum(payload, static_cast<std::size_t>(h.len)) != load_le32(payload + h.len)) {
     return WireStatus::ChecksumMismatch;
   }
   out.type = h.type;
@@ -127,38 +126,72 @@ WireStatus decode_frame(const std::uint8_t* data, std::size_t n, Frame& out) {
 }
 
 WireStatus write_frame(Transport& t, const Frame& frame) {
-  std::vector<std::uint8_t> wire;
-  encode_frame(frame, wire);
-  if (!t.send_all(wire.data(), wire.size())) return WireStatus::Closed;
-  WireMetrics& wm = WireMetrics::get();
-  wm.frames_sent.inc();
-  wm.bytes_sent.inc(wire.size());
-  return WireStatus::Ok;
+  const ConstBytes payload{frame.payload.data(), frame.payload.size()};
+  return write_frame_parts(t, frame.type, frame.flags, {&payload, 1});
 }
 
 WireStatus read_frame(Transport& t, Frame& out) {
+  return read_frame_prefixed(t, nullptr, 0, out);
+}
+
+WireStatus write_frame_parts(Transport& t, std::uint16_t type, std::uint16_t flags,
+                             std::span<const ConstBytes> parts) {
+  GPA_CHECK(parts.size() + 2 <= kMaxGatherParts, "net: too many frame payload parts");
+  std::uint64_t len = 0;
+  std::uint32_t crc = 0;
+  for (const ConstBytes& p : parts) {
+    len += p.size;
+    crc = crc32c_extend(crc, static_cast<const std::uint8_t*>(p.data), p.size);
+  }
+  GPA_CHECK(len > 0, "net: cannot encode an empty frame payload");
+  GPA_CHECK(len <= kMaxFramePayload, "net: frame payload exceeds cap");
   std::uint8_t header[kFrameHeaderBytes];
-  if (!t.recv_exact(header, kFrameHeaderBytes)) return WireStatus::Closed;
+  put_header(header, type, flags, len);
+  std::uint8_t trailer[kFrameTrailerBytes];
+  store_le(trailer, crc, kFrameTrailerBytes);
+
+  ConstBytes wire[kMaxGatherParts];
+  wire[0] = {header, sizeof(header)};
+  std::copy(parts.begin(), parts.end(), wire + 1);
+  wire[parts.size() + 1] = {trailer, sizeof(trailer)};
+  if (!t.send_gather({wire, parts.size() + 2})) return WireStatus::Closed;
+  WireMetrics& wm = WireMetrics::get();
+  wm.frames_sent.inc();
+  wm.bytes_sent.inc(kFrameHeaderBytes + len + kFrameTrailerBytes);
+  return WireStatus::Ok;
+}
+
+WireStatus read_frame_prefixed(Transport& t, std::uint8_t* prefix, std::size_t prefix_n,
+                               Frame& out) {
+  GPA_CHECK(prefix_n <= kMaxFramePrefix, "net: frame prefix exceeds kMaxFramePrefix");
+  std::uint8_t head[kFrameHeaderBytes + kMaxFramePrefix];
+  if (!t.recv_exact(head, kFrameHeaderBytes + prefix_n)) return WireStatus::Closed;
   Header h;
-  const WireStatus hs = parse_header(header, kFrameHeaderBytes, h);
+  const WireStatus hs = parse_header(head, kFrameHeaderBytes, h);
   // On a corrupt header the stream position is unrecoverable (the
   // length prefix cannot be trusted), so the caller must close; we do
   // not attempt to resynchronise.
   if (hs != WireStatus::Ok) return hs;
+  if (h.len < prefix_n) return WireStatus::Malformed;
   out.type = h.type;
   out.flags = h.flags;
-  out.payload.resize(static_cast<std::size_t>(h.len));
+  // The rest of the payload and the trailer in one read, then the
+  // trailer is trimmed off.
+  const auto rest = static_cast<std::size_t>(h.len) - prefix_n;
+  out.payload.resize(rest + kFrameTrailerBytes);
   if (!t.recv_exact(out.payload.data(), out.payload.size())) return WireStatus::Truncated;
-  std::uint8_t trailer[kFrameTrailerBytes];
-  if (!t.recv_exact(trailer, kFrameTrailerBytes)) return WireStatus::Truncated;
-  Reader tr(trailer, kFrameTrailerBytes);
-  if (payload_checksum(out.payload.data(), out.payload.size()) != tr.u64()) {
+  const std::uint32_t stated = load_le32(out.payload.data() + rest);
+  out.payload.resize(rest);
+  const std::uint32_t crc = crc32c_extend(crc32c_extend(0, head + kFrameHeaderBytes, prefix_n),
+                                          out.payload.data(), rest);
+  if (crc != stated) {
     WireMetrics::get().checksum_failures.inc();
     return WireStatus::ChecksumMismatch;
   }
+  if (prefix_n > 0) std::memcpy(prefix, head + kFrameHeaderBytes, prefix_n);
   WireMetrics& wm = WireMetrics::get();
   wm.frames_received.inc();
-  wm.bytes_received.inc(kFrameHeaderBytes + out.payload.size() + kFrameTrailerBytes);
+  wm.bytes_received.inc(kFrameHeaderBytes + h.len + kFrameTrailerBytes);
   return WireStatus::Ok;
 }
 
@@ -185,9 +218,13 @@ bool get_string(Reader& r, std::string& s) {
   return true;
 }
 
+void put_matrix_dims(Writer& w, Index rows, Index cols) {
+  w.i64(rows);
+  w.i64(cols);
+}
+
 void put_matrix(Writer& w, const Matrix<float>& m) {
-  w.i64(m.rows());
-  w.i64(m.cols());
+  put_matrix_dims(w, m.rows(), m.cols());
   // Rows are contiguous; ship the buffer, field order is the element
   // order. f32 bit patterns are endian-normalised like every other
   // field (memcpy'd to u32, emitted LE) — bulk copy is safe because
@@ -218,8 +255,11 @@ void put_csr(Writer& w, const Csr<float>& m) {
   w.i64(m.rows);
   w.i64(m.cols);
   w.u64(m.nnz());
-  for (const Index o : m.row_offsets) w.i64(o);
-  for (const Index c : m.col_idx) w.i64(c);
+  // Index arrays go in bulk, like put_matrix's rows: i64 in host order
+  // is the LE wire order on the little-endian hosts the build targets.
+  static_assert(sizeof(Index) == 8);
+  w.bytes(m.row_offsets.data(), m.row_offsets.size() * sizeof(Index));
+  w.bytes(m.col_idx.data(), m.col_idx.size() * sizeof(Index));
   w.bytes(m.values.data(), m.values.size() * sizeof(float));
 }
 
@@ -227,7 +267,10 @@ bool get_csr(Reader& r, Csr<float>& m) {
   const std::int64_t rows = r.i64();
   const std::int64_t cols = r.i64();
   const std::uint64_t nnz = r.u64();
-  if (!r.ok || rows < 0 || cols < 0 || nnz > kMaxElems) return false;
+  if (!r.ok || rows < 0 || cols < 0 || static_cast<std::uint64_t>(rows) > kMaxElems ||
+      nnz > kMaxElems) {
+    return false;
+  }
   // All three arrays must fit in what remains before any allocation.
   const std::uint64_t need = (static_cast<std::uint64_t>(rows) + 1) * 8 + nnz * (8 + 4);
   if (r.remaining() < need) {
@@ -239,9 +282,11 @@ bool get_csr(Reader& r, Csr<float>& m) {
   m.row_offsets.resize(static_cast<std::size_t>(rows) + 1);
   m.col_idx.resize(static_cast<std::size_t>(nnz));
   m.values.resize(static_cast<std::size_t>(nnz));
-  for (Index& o : m.row_offsets) o = static_cast<Index>(r.i64());
-  for (Index& c : m.col_idx) c = static_cast<Index>(r.i64());
-  if (!r.bytes(m.values.data(), m.values.size() * sizeof(float))) return false;
+  if (!r.bytes(m.row_offsets.data(), m.row_offsets.size() * sizeof(Index)) ||
+      !r.bytes(m.col_idx.data(), m.col_idx.size() * sizeof(Index)) ||
+      !r.bytes(m.values.data(), m.values.size() * sizeof(float))) {
+    return false;
+  }
   // Structural sanity — a peer's CSR must be canonical before any
   // kernel walks it (kernels index unchecked in release builds).
   return m.is_canonical();

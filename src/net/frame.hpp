@@ -1,15 +1,19 @@
 #pragma once
 // Wire layer: length-prefixed binary framing with explicit little-endian
-// field encoding and an fnv1a payload checksum.
+// field encoding and a CRC32C payload checksum.
 //
 // Frame layout on the wire:
 //
-//   [magic   u32]  0x47504146 ("GPAF")
+//   [magic   u32]  0x32415047, the bytes "GPA2"
 //   [type    u16]  frame type (rpc.hpp assigns request/response)
 //   [flags   u16]  reserved, must round-trip
 //   [len     u64]  payload byte count, 1 .. kMaxFramePayload
 //   [payload len bytes]
-//   [checksum u64] fnv1a over the payload bytes
+//   [checksum u32] CRC32C over the payload bytes (net/crc32c.hpp)
+//
+// The magic names the format version: a peer speaking an older layout
+// (magic "GPAF", 8-byte fnv1a trailer) fails on the first header with a
+// typed BadMagic, never with a checksum mismatch.
 //
 // Every multi-byte field is little-endian *by construction* (bytes are
 // shifted in/out explicitly), so the format is identical across hosts
@@ -26,17 +30,17 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
+#include "net/transport.hpp"
 #include "seqpar/partition.hpp"
 #include "sparse/csr.hpp"
 #include "tensor/matrix.hpp"
 
 namespace gpa::net {
-
-class Transport;  // transport.hpp
 
 /// Typed outcome of every decode path. Nothing in the wire layer
 /// throws on malformed input — bad bytes from a peer are an expected
@@ -54,9 +58,9 @@ enum class WireStatus : std::uint8_t {
 
 const char* to_string(WireStatus s);
 
-inline constexpr std::uint32_t kFrameMagic = 0x47504146u;  // "GPAF" LE
+inline constexpr std::uint32_t kFrameMagic = 0x32415047u;  // "GPA2" as LE bytes
 inline constexpr std::size_t kFrameHeaderBytes = 16;
-inline constexpr std::size_t kFrameTrailerBytes = 8;
+inline constexpr std::size_t kFrameTrailerBytes = 4;
 /// Cap on a single frame's payload. Large enough for any realistic
 /// shard (a 64k x 256 f32 matrix is 64 MiB); small enough that a
 /// corrupt length prefix cannot drive a multi-gigabyte allocation.
@@ -68,9 +72,8 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// fnv1a over a byte range (same constants as common/fnv1a.hpp, applied
-/// bytewise so the hash is independent of word framing).
-std::uint64_t payload_checksum(const std::uint8_t* data, std::size_t n);
+/// CRC32C of a byte range: the value the frame trailer carries.
+std::uint32_t payload_checksum(const std::uint8_t* data, std::size_t n);
 
 /// Serialize a frame (header + payload + checksum trailer) into `out`
 /// (overwritten). The payload must be non-empty and within the cap;
@@ -89,6 +92,26 @@ WireStatus decode_frame(const std::uint8_t* data, std::size_t n, Frame& out);
 /// allocates more than the length prefix admits.
 WireStatus write_frame(Transport& t, const Frame& frame);
 WireStatus read_frame(Transport& t, Frame& out);
+
+/// Sends one frame whose payload is the concatenation of `parts` (at
+/// most kMaxGatherParts - 2 of them, non-empty in total, within the
+/// cap) as a single gather write, checksumming the parts in place — the
+/// payload is never joined in memory.
+WireStatus write_frame_parts(Transport& t, std::uint16_t type, std::uint16_t flags,
+                             std::span<const ConstBytes> parts);
+
+/// Largest payload prefix read_frame_prefixed splits off.
+inline constexpr std::size_t kMaxFramePrefix = 16;
+
+/// Reads one frame whose payload opens with a fixed-size prefix of
+/// prefix_n <= kMaxFramePrefix bytes. The header and the prefix arrive
+/// in one read, and the header is validated before anything is
+/// allocated; the prefix goes to `prefix`, and the rest of the payload
+/// lands directly in out.payload. A payload shorter than the prefix is
+/// Malformed — like a corrupt header, it leaves the stream position
+/// unrecoverable, so the caller must close.
+WireStatus read_frame_prefixed(Transport& t, std::uint8_t* prefix, std::size_t prefix_n,
+                               Frame& out);
 
 // ---------------------------------------------------------------------
 // Little-endian payload primitives.
@@ -201,6 +224,10 @@ bool get_string(Reader& r, std::string& s);
 
 void put_matrix(Writer& w, const Matrix<float>& m);
 bool get_matrix(Reader& r, Matrix<float>& m);
+/// The [rows i64][cols i64] prefix put_matrix writes before its rows;
+/// a caller that ships row-major f32 rows as their own gather part
+/// writes this in front of them.
+void put_matrix_dims(Writer& w, Index rows, Index cols);
 
 void put_csr(Writer& w, const Csr<float>& m);
 bool get_csr(Reader& r, Csr<float>& m);

@@ -302,13 +302,13 @@ RpcStatus NodeService::ring_start(Reader& r) {
     return RpcStatus::InvalidArgument;
   }
   g.state.reset(g.row_hi - g.row_lo, g.head_dim);
-  g.k_own = ks;  // kept verbatim for RingFetch
-  g.v_own = vs;
+  g.k_own = std::move(ks);
+  g.v_own = std::move(vs);
 
   std::lock_guard<std::mutex> lk(ring_mu_);
   auto [it, inserted] = rings_.insert_or_assign(rid, std::move(g));
   (void)inserted;
-  stash_and_fold(it->second, it->second.part, std::move(ks), std::move(vs));
+  fold_ready(it->second);
   return RpcStatus::Ok;
 }
 
@@ -318,9 +318,11 @@ RpcStatus NodeService::ring_fetch(Reader& r, Writer& out) {
   std::lock_guard<std::mutex> lk(ring_mu_);
   const auto it = rings_.find(rid);
   if (it == rings_.end()) return RpcStatus::InvalidArgument;
-  out.u32(static_cast<std::uint32_t>(it->second.part));
-  put_matrix(out, it->second.k_own);
-  put_matrix(out, it->second.v_own);
+  const Ring& g = it->second;
+  out.buf.reserve(4 + 2 * (16 + g.k_own.size_bytes()));  // one allocation, no regrowth copies
+  out.u32(static_cast<std::uint32_t>(g.part));
+  put_matrix(out, g.k_own);
+  put_matrix(out, g.v_own);
   return RpcStatus::Ok;
 }
 
@@ -335,13 +337,15 @@ RpcStatus NodeService::ring_shard(Reader& r) {
   const auto it = rings_.find(rid);
   if (it == rings_.end()) return RpcStatus::InvalidArgument;
   Ring& g = it->second;
-  if (idx < 0 || idx >= g.parts ||
+  // The node's own shard arrived with RingStart; only the others rotate.
+  if (idx < 0 || idx >= g.parts || idx == g.part ||
       ks.rows() != g.partition.boundaries[static_cast<std::size_t>(idx) + 1] -
                        g.partition.boundaries[static_cast<std::size_t>(idx)] ||
       !ks.same_shape(vs) || ks.cols() != g.head_dim) {
     return RpcStatus::InvalidArgument;
   }
-  stash_and_fold(g, idx, std::move(ks), std::move(vs));
+  if (idx >= g.next_fold) g.stash[idx] = {std::move(ks), std::move(vs)};
+  fold_ready(g);
   return RpcStatus::Ok;
 }
 
@@ -362,15 +366,16 @@ RpcStatus NodeService::ring_finish(Reader& r, Writer& out) {
   return RpcStatus::Ok;
 }
 
-void NodeService::stash_and_fold(Ring& g, Index idx,
-                                 Matrix<float>&& ks, Matrix<float>&& vs) {
-  if (idx >= g.next_fold) {
-    g.stash[idx] = {std::move(ks), std::move(vs)};
-  }
-  for (auto it = g.stash.find(g.next_fold); it != g.stash.end();
-       it = g.stash.find(g.next_fold)) {
-    fold_shard(g, it->first, it->second.first, it->second.second);
-    g.stash.erase(it);  // folded: free the buffered shard
+void NodeService::fold_ready(Ring& g) {
+  while (g.next_fold < g.parts) {
+    if (g.next_fold == g.part) {
+      fold_shard(g, g.part, g.k_own, g.v_own);
+    } else {
+      const auto it = g.stash.find(g.next_fold);
+      if (it == g.stash.end()) return;
+      fold_shard(g, it->first, it->second.first, it->second.second);
+      g.stash.erase(it);  // folded: free the buffered shard
+    }
     ++g.next_fold;
   }
 }

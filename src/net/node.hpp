@@ -102,8 +102,9 @@ class NodeService {
     seqpar::Partition partition;
     Csr<float> mask;
     Matrix<float> q;          ///< this node's row slice (local indexing)
-    Matrix<float> k_own, v_own;  ///< the shard this node owns (RingFetch)
+    Matrix<float> k_own, v_own;  ///< the shard this node owns (its fold + RingFetch)
     SoftmaxState state;       ///< row_hi - row_lo local rows
+    /// Delivered shards of other nodes waiting for their fold turn.
     std::map<Index, std::pair<Matrix<float>, Matrix<float>>> stash;
     Index next_fold = 0;      ///< shards 0..next_fold-1 are folded
     Size edges = 0;
@@ -114,9 +115,10 @@ class NodeService {
   RpcStatus ring_shard(Reader& r);
   RpcStatus ring_finish(Reader& r, Writer& out);
 
-  /// Stash shard `idx`, then fold every consecutive shard starting at
-  /// the cursor (ascending order — see file comment).
-  void stash_and_fold(Ring& g, Index idx, Matrix<float>&& ks, Matrix<float>&& vs);
+  /// Fold every consecutive available shard starting at the cursor
+  /// (ascending order — see file comment): the own shard, then stashed
+  /// ones.
+  void fold_ready(Ring& g);
   void fold_shard(Ring& g, Index idx, const Matrix<float>& ks, const Matrix<float>& vs);
 
   kvcache::SessionManager sessions_;

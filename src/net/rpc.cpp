@@ -1,5 +1,6 @@
 #include "net/rpc.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/error.hpp"
@@ -63,52 +64,62 @@ const char* to_string(Op op) {
   return "unknown";
 }
 
-WireStatus send_request(Transport& t, const RpcRequest& req) {
+namespace {
+
+/// Every RPC payload opens with [id u64][op or status u8].
+constexpr std::size_t kRpcPrefixBytes = 9;
+
+WireStatus send_rpc(Transport& t, std::uint16_t type, std::uint64_t id, std::uint8_t code,
+                    std::span<const ConstBytes> body) {
+  std::uint8_t prefix[kRpcPrefixBytes];
+  for (std::size_t b = 0; b < 8; ++b) prefix[b] = static_cast<std::uint8_t>(id >> (8 * b));
+  prefix[8] = code;
+  GPA_CHECK(body.size() + 1 <= kMaxGatherParts, "rpc: too many body parts");
+  ConstBytes parts[kMaxGatherParts];
+  parts[0] = {prefix, sizeof(prefix)};
+  std::copy(body.begin(), body.end(), parts + 1);
+  return write_frame_parts(t, type, 0, {parts, body.size() + 1});
+}
+
+/// Reads one RPC frame of `type`; the body lands in `body` in place.
+WireStatus recv_rpc(Transport& t, std::uint16_t type, std::uint64_t& id, std::uint8_t& code,
+                    std::vector<std::uint8_t>& body) {
+  std::uint8_t prefix[kRpcPrefixBytes];
   Frame f;
-  f.type = kFrameRequest;
-  Writer w;
-  w.u64(req.id);
-  w.u8(static_cast<std::uint8_t>(req.op));
-  w.bytes(req.body.data(), req.body.size());
-  f.payload = std::move(w.buf);
-  return write_frame(t, f);
+  const WireStatus ws = read_frame_prefixed(t, prefix, sizeof(prefix), f);
+  if (ws != WireStatus::Ok) return ws;
+  if (f.type != type) return WireStatus::Malformed;
+  Reader r(prefix, sizeof(prefix));
+  id = r.u64();
+  code = r.u8();
+  body = std::move(f.payload);
+  return WireStatus::Ok;
+}
+
+}  // namespace
+
+WireStatus send_request(Transport& t, std::uint64_t id, Op op,
+                        std::span<const ConstBytes> body) {
+  return send_rpc(t, kFrameRequest, id, static_cast<std::uint8_t>(op), body);
 }
 
 WireStatus recv_request(Transport& t, RpcRequest& req) {
-  Frame f;
-  const WireStatus ws = read_frame(t, f);
-  if (ws != WireStatus::Ok) return ws;
-  if (f.type != kFrameRequest) return WireStatus::Malformed;
-  Reader r(f.payload);
-  req.id = r.u64();
-  req.op = static_cast<Op>(r.u8());
-  if (!r.ok) return WireStatus::Malformed;
-  req.body.assign(r.p, r.end);
-  return WireStatus::Ok;
+  std::uint8_t op = 0;
+  const WireStatus ws = recv_rpc(t, kFrameRequest, req.id, op, req.body);
+  if (ws == WireStatus::Ok) req.op = static_cast<Op>(op);
+  return ws;
 }
 
 WireStatus send_response(Transport& t, const RpcResponse& rsp) {
-  Frame f;
-  f.type = kFrameResponse;
-  Writer w;
-  w.u64(rsp.id);
-  w.u8(static_cast<std::uint8_t>(rsp.status));
-  w.bytes(rsp.body.data(), rsp.body.size());
-  f.payload = std::move(w.buf);
-  return write_frame(t, f);
+  const ConstBytes body{rsp.body.data(), rsp.body.size()};
+  return send_rpc(t, kFrameResponse, rsp.id, static_cast<std::uint8_t>(rsp.status), {&body, 1});
 }
 
 WireStatus recv_response(Transport& t, RpcResponse& rsp) {
-  Frame f;
-  const WireStatus ws = read_frame(t, f);
-  if (ws != WireStatus::Ok) return ws;
-  if (f.type != kFrameResponse) return WireStatus::Malformed;
-  Reader r(f.payload);
-  rsp.id = r.u64();
-  rsp.status = static_cast<RpcStatus>(r.u8());
-  if (!r.ok) return WireStatus::Malformed;
-  rsp.body.assign(r.p, r.end);
-  return WireStatus::Ok;
+  std::uint8_t status = 0;
+  const WireStatus ws = recv_rpc(t, kFrameResponse, rsp.id, status, rsp.body);
+  if (ws == WireStatus::Ok) rsp.status = static_cast<RpcStatus>(status);
+  return ws;
 }
 
 void make_error_response(RpcResponse& rsp, RpcStatus status, const std::string& detail,
@@ -121,6 +132,11 @@ void make_error_response(RpcResponse& rsp, RpcStatus status, const std::string& 
 }
 
 std::vector<std::uint8_t> RpcClient::call(Op op, std::vector<std::uint8_t> body) {
+  const ConstBytes part{body.data(), body.size()};
+  return call(op, std::span<const ConstBytes>(&part, 1));
+}
+
+std::vector<std::uint8_t> RpcClient::call(Op op, std::span<const ConstBytes> body) {
   // Span name = the op's static string, so a trace shows which RPCs a
   // client spent its wall-clock in; the latency histogram is the
   // aggregate view of the same interval.
@@ -129,11 +145,8 @@ std::vector<std::uint8_t> RpcClient::call(Op op, std::vector<std::uint8_t> body)
   rm.calls.inc();
   const auto t0 = std::chrono::steady_clock::now();
 
-  RpcRequest req;
-  req.id = next_id_++;
-  req.op = op;
-  req.body = std::move(body);
-  if (send_request(t_, req) != WireStatus::Ok) {
+  const std::uint64_t id = next_id_++;
+  if (send_request(t_, id, op, body) != WireStatus::Ok) {
     rm.transport_failures.inc();
     throw TransportError("rpc: send failed (" + std::string(to_string(op)) + ")");
   }
@@ -143,7 +156,7 @@ std::vector<std::uint8_t> RpcClient::call(Op op, std::vector<std::uint8_t> body)
     rm.transport_failures.inc();
     throw TransportError("rpc: receive failed (" + std::string(to_string(ws)) + ")");
   }
-  if (rsp.id != req.id) {
+  if (rsp.id != id) {
     rm.transport_failures.inc();
     throw TransportError("rpc: response id mismatch — connection desynchronised");
   }

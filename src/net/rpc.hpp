@@ -13,6 +13,7 @@
 // unchanged whether the session lives in-process or across a socket.
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -67,7 +68,13 @@ struct RpcResponse {
   std::vector<std::uint8_t> body;
 };
 
-WireStatus send_request(Transport& t, const RpcRequest& req);
+// One frame each way. Sends go out as a single gather write of header,
+// [id][op|status] prefix, body and trailer; receives read the body
+// straight into RpcRequest/RpcResponse::body. A request body is given
+// as the concatenation of `body` (at most kMaxGatherParts - 3 parts),
+// never joined in memory.
+WireStatus send_request(Transport& t, std::uint64_t id, Op op,
+                        std::span<const ConstBytes> body);
 WireStatus recv_request(Transport& t, RpcRequest& req);
 WireStatus send_response(Transport& t, const RpcResponse& rsp);
 WireStatus recv_response(Transport& t, RpcResponse& rsp);
@@ -87,6 +94,9 @@ class RpcClient {
   explicit RpcClient(Transport& t) : t_(t) {}
 
   std::vector<std::uint8_t> call(Op op, std::vector<std::uint8_t> body);
+  /// call() with the request body given as gather parts (see
+  /// send_request); the parts must stay valid for the call.
+  std::vector<std::uint8_t> call(Op op, std::span<const ConstBytes> body);
 
  private:
   Transport& t_;

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -35,6 +36,14 @@ bool set_nonblocking(int fd, bool nb) {
 }
 
 }  // namespace
+
+bool Transport::send_gather(std::span<const ConstBytes> parts) {
+  GPA_CHECK(parts.size() <= kMaxGatherParts, "net: too many gather parts");
+  for (const ConstBytes& part : parts) {
+    if (part.size > 0 && !send_all(part.data, part.size)) return false;
+  }
+  return true;
+}
 
 // ---------------------------------------------------------------------
 // TcpTransport
@@ -89,16 +98,36 @@ std::unique_ptr<TcpTransport> TcpTransport::connect(const std::string& host, std
 TcpTransport::~TcpTransport() { close(); }
 
 bool TcpTransport::send_all(const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (n > 0) {
+  const ConstBytes part{data, n};
+  return send_gather({&part, 1});
+}
+
+bool TcpTransport::send_gather(std::span<const ConstBytes> parts) {
+  GPA_CHECK(parts.size() <= kMaxGatherParts, "net: too many gather parts");
+  iovec iov[kMaxGatherParts];
+  std::size_t count = 0;
+  for (const ConstBytes& part : parts) {
+    if (part.size > 0) iov[count++] = {const_cast<void*>(part.data), part.size};
+  }
+  std::size_t next = 0;  // first iovec with bytes left to send
+  while (next < count) {
+    msghdr msg{};
+    msg.msg_iov = iov + next;
+    msg.msg_iovlen = count - next;
     // MSG_NOSIGNAL: a closed peer must surface as EPIPE, not SIGPIPE.
-    const ssize_t sent = ::send(fd_, p, n, MSG_NOSIGNAL);
+    const ssize_t sent = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) continue;
       return false;  // includes EAGAIN from SO_SNDTIMEO expiry
     }
-    p += sent;
-    n -= static_cast<std::size_t>(sent);
+    // A partial send stops anywhere: skip the parts it finished and
+    // resume mid-part.
+    auto done = static_cast<std::size_t>(sent);
+    while (next < count && done >= iov[next].iov_len) done -= iov[next++].iov_len;
+    if (done > 0) {
+      iov[next].iov_base = static_cast<std::uint8_t*>(iov[next].iov_base) + done;
+      iov[next].iov_len -= done;
+    }
   }
   return true;
 }

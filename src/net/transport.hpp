@@ -18,6 +18,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -27,12 +28,27 @@ namespace gpa::net {
 
 using Millis = std::chrono::milliseconds;
 
+/// One part of a gather write: a borrowed byte range.
+struct ConstBytes {
+  const void* data = nullptr;
+  std::size_t size = 0;
+};
+
+/// Most parts one send_gather takes. A frame is a handful of parts
+/// (header, RPC prefix, a few body ranges, trailer), so callers build
+/// the part list on the stack instead of allocating it per frame.
+inline constexpr std::size_t kMaxGatherParts = 16;
+
 class Transport {
  public:
   virtual ~Transport() = default;
 
   /// Sends all n bytes; false on peer close / error / send timeout.
   virtual bool send_all(const void* data, std::size_t n) = 0;
+  /// Sends the parts (at most kMaxGatherParts) back to back, as if
+  /// concatenated; false as for send_all. The default sends each part
+  /// with send_all; TCP overrides it with one sendmsg over all parts.
+  virtual bool send_gather(std::span<const ConstBytes> parts);
   /// Receives exactly n bytes; false on EOF / error / receive timeout.
   virtual bool recv_exact(void* data, std::size_t n) = 0;
   /// Idempotent; unblocks any peer blocked in recv_exact.
@@ -56,6 +72,7 @@ class TcpTransport final : public Transport {
   TcpTransport& operator=(const TcpTransport&) = delete;
 
   bool send_all(const void* data, std::size_t n) override;
+  bool send_gather(std::span<const ConstBytes> parts) override;
   bool recv_exact(void* data, std::size_t n) override;
   void close() override;
 

@@ -1,5 +1,6 @@
 #include "sparse/io.hpp"
 
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 
@@ -48,13 +49,31 @@ Csr<float> load_csr(const std::string& path) {
   in.read(reinterpret_cast<char*>(header), sizeof(header));
   GPA_CHECK(in.good(), "truncated header: " + path);
 
+  // Every declared size is checked against the bytes the file actually
+  // holds before anything is allocated: a corrupt or hostile header must
+  // not drive a huge resize. The division form cannot overflow, and a
+  // row count that passes it is far below the Index range.
+  const std::streamoff payload_at = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(payload_at);
+  GPA_CHECK(in.good() && payload_at >= 0 && file_end >= payload_at,
+            "cannot size file: " + path);
+  const auto left = static_cast<std::uint64_t>(file_end - payload_at);
+  const std::uint64_t rows = header[0], cols = header[1], nnz = header[2];
+  GPA_CHECK(cols <= static_cast<std::uint64_t>(INT64_MAX),
+            "corrupt header (negative column count): " + path);
+  GPA_CHECK(rows < left / sizeof(Index), "truncated payload: " + path);
+  const std::uint64_t offsets_bytes = (rows + 1) * sizeof(Index);
+  GPA_CHECK(nnz <= (left - offsets_bytes) / (sizeof(Index) + sizeof(float)),
+            "truncated payload: " + path);
+
   Csr<float> mask;
-  mask.rows = static_cast<Index>(header[0]);
-  mask.cols = static_cast<Index>(header[1]);
-  const auto nnz = static_cast<std::size_t>(header[2]);
-  read_vec(in, mask.row_offsets, static_cast<std::size_t>(mask.rows) + 1);
-  read_vec(in, mask.col_idx, nnz);
-  read_vec(in, mask.values, nnz);
+  mask.rows = static_cast<Index>(rows);
+  mask.cols = static_cast<Index>(cols);
+  read_vec(in, mask.row_offsets, static_cast<std::size_t>(rows) + 1);
+  read_vec(in, mask.col_idx, static_cast<std::size_t>(nnz));
+  read_vec(in, mask.values, static_cast<std::size_t>(nnz));
   GPA_CHECK(in.good(), "truncated payload: " + path);
   GPA_CHECK(mask.is_canonical(), "corrupt mask payload: " + path);
   return mask;

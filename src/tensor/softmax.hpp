@@ -17,9 +17,10 @@
 namespace gpa {
 
 /// In-place numerically stable softmax over each row. Rows whose maximum
-/// is -inf (fully masked) become all-zero rows rather than NaN — see
-/// DESIGN.md §4 for why this convention is used on both sides of every
-/// comparison; the convention is enforced on both SIMD dispatch arms
+/// is -inf (fully masked) become all-zero rows rather than NaN: that is
+/// what every graph kernel's finalize gives a row with no edges (l = 0),
+/// so the masked-SDP baseline and the kernels compare equal on such
+/// rows. The convention is enforced on both SIMD dispatch arms
 /// (the vector max-reduction seeds dead tail lanes with -inf, so an
 /// all-masked row cannot pick up a spurious 0 maximum).
 /// The max / sum / rescale passes go through the dispatched vector ops;

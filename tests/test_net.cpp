@@ -1,6 +1,8 @@
 // src/net unit tests, transport-polymorphic via the loopback arm:
-// frame codec fuzz (every malformed input is a typed WireStatus, never
-// UB or a hang), loopback + TCP transports, the RPC error taxonomy
+// CRC32C known answers and arm-vs-arm parity, frame codec fuzz (every
+// malformed input is a typed WireStatus, never UB or a hang), loopback
+// + TCP transports (including the streamed checksum, old-format magic
+// and large gather-write paths), the RPC error taxonomy
 // across a served connection, consistent-hash ring movement, and the
 // cluster differential gates — loopback ring prefill bit-identical to
 // seqpar/sim_cluster, loopback routed decode bit-identical to a local
@@ -12,16 +14,19 @@
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "kvcache/errors.hpp"
 #include "kvcache/session_manager.hpp"
 #include "net/cluster.hpp"
+#include "net/crc32c.hpp"
 #include "net/frame.hpp"
 #include "net/node.hpp"
 #include "net/rpc.hpp"
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 #include "seqpar/partition.hpp"
 #include "seqpar/sim_cluster.hpp"
 #include "sparse/build.hpp"
@@ -39,6 +44,83 @@ std::vector<std::uint8_t> valid_frame_bytes(std::uint16_t type = 7) {
   std::vector<std::uint8_t> wire;
   net::encode_frame(f, wire);
   return wire;
+}
+
+/// A connected TCP pair on an ephemeral localhost port.
+std::pair<std::unique_ptr<net::TcpTransport>, std::unique_ptr<net::TcpTransport>> tcp_pair() {
+  net::TcpListener listener(0);
+  EXPECT_NE(listener.port(), 0);
+  std::unique_ptr<net::TcpTransport> server;
+  std::thread acceptor(
+      [&] { server = listener.accept(net::Millis{5000}, net::Millis{5000}); });
+  auto client = net::TcpTransport::connect("127.0.0.1", listener.port(), net::Millis{5000},
+                                           net::Millis{5000});
+  acceptor.join();
+  return {std::move(client), std::move(server)};
+}
+
+std::vector<std::uint8_t> bytes_of(const char* s) {
+  return std::vector<std::uint8_t>(s, s + std::strlen(s));
+}
+
+// ---------------------------------------------------------------------
+// CRC32C
+
+TEST(Crc32c, KnownAnswers) {
+  const auto check = [](const std::vector<std::uint8_t>& data) {
+    const std::uint32_t hw = net::crc32c_extend(0, data.data(), data.size());
+    EXPECT_EQ(hw, net::detail::crc32c_portable(0, data.data(), data.size()));
+    return hw;
+  };
+  EXPECT_EQ(check(bytes_of("123456789")), 0xE3069283u);
+  // RFC 3720 (iSCSI) appendix B.4.
+  EXPECT_EQ(check(std::vector<std::uint8_t>(32, 0x00)), 0x8A9136AAu);
+  EXPECT_EQ(check(std::vector<std::uint8_t>(32, 0xFF)), 0x62A8AB43u);
+  std::vector<std::uint8_t> ascending(32);
+  for (std::size_t i = 0; i < ascending.size(); ++i) ascending[i] = static_cast<std::uint8_t>(i);
+  EXPECT_EQ(check(ascending), 0x46DD794Eu);
+  EXPECT_EQ(check({}), 0u);
+  // payload_checksum is the same function.
+  const auto digits = bytes_of("123456789");
+  EXPECT_EQ(net::payload_checksum(digits.data(), digits.size()), 0xE3069283u);
+}
+
+TEST(Crc32c, DispatchedArmMatchesPortableAtEveryLengthAndAlignment) {
+  // crc32c_extend runs the SSE4.2 arm whenever the build and CPU have
+  // it; on other hosts this compares the portable arm with itself.
+  RecordProperty("crc32c_arm", net::detail::crc32c_hardware() ? "sse4.2" : "portable");
+  Rng rng(7);
+  std::vector<std::uint8_t> buf((1u << 20) + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t n = 0; n <= 257; ++n) {
+      const std::uint8_t* p = buf.data() + align;
+      ASSERT_EQ(net::crc32c_extend(0, p, n), net::detail::crc32c_portable(0, p, n))
+          << "align=" << align << " n=" << n;
+      // A non-zero running CRC goes through the same arms.
+      ASSERT_EQ(net::crc32c_extend(0x12345678u, p, n),
+                net::detail::crc32c_portable(0x12345678u, p, n))
+          << "align=" << align << " n=" << n;
+    }
+  }
+  const std::size_t mib = 1u << 20;
+  EXPECT_EQ(net::crc32c_extend(0, buf.data() + 3, mib),
+            net::detail::crc32c_portable(0, buf.data() + 3, mib));
+}
+
+TEST(Crc32c, ExtendOverPartsEqualsOnePass) {
+  Rng rng(8);
+  std::vector<std::uint8_t> buf(1000);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  const std::uint32_t whole = net::crc32c_extend(0, buf.data(), buf.size());
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                std::size_t{9}, std::size_t{500}, buf.size()}) {
+    const std::uint32_t a = net::crc32c_extend(0, buf.data(), cut);
+    EXPECT_EQ(net::crc32c_extend(a, buf.data() + cut, buf.size() - cut), whole) << cut;
+    const std::uint32_t pa = net::detail::crc32c_portable(0, buf.data(), cut);
+    EXPECT_EQ(net::detail::crc32c_portable(pa, buf.data() + cut, buf.size() - cut), whole)
+        << cut;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -159,7 +241,18 @@ TEST(Frame, CsrCodecRoundTripsAndValidates) {
   ASSERT_TRUE(net::get_csr(r, out));
   EXPECT_TRUE(r.done());
   EXPECT_EQ(out.rows, mask.rows);
+  EXPECT_EQ(out.row_offsets, mask.row_offsets);
   EXPECT_EQ(out.col_idx, mask.col_idx);
+  EXPECT_EQ(out.values, mask.values);
+
+  // A row count whose offset array size wraps u64 must be rejected
+  // before any allocation.
+  net::Writer wh;
+  wh.i64(std::int64_t{1} << 61);
+  wh.i64(4);
+  wh.u64(0);
+  net::Reader rh(wh.buf);
+  EXPECT_FALSE(net::get_csr(rh, out));
 
   // A non-canonical CSR (descending columns) must be rejected.
   Csr<float> bad = mask;
@@ -225,16 +318,7 @@ TEST(Transport, LoopbackCorruptBytesYieldTypedDecodeError) {
 }
 
 TEST(Transport, TcpRoundTripOnEphemeralPort) {
-  net::TcpListener listener(0);
-  ASSERT_NE(listener.port(), 0);
-
-  std::unique_ptr<net::TcpTransport> server;
-  std::thread acceptor(
-      [&] { server = listener.accept(net::Millis{5000}, net::Millis{5000}); });
-  auto client =
-      net::TcpTransport::connect("127.0.0.1", listener.port(), net::Millis{5000},
-                                 net::Millis{5000});
-  acceptor.join();
+  auto [client, server] = tcp_pair();
   ASSERT_NE(client, nullptr);
   ASSERT_NE(server, nullptr);
 
@@ -248,6 +332,86 @@ TEST(Transport, TcpRoundTripOnEphemeralPort) {
 
   client->close();
   EXPECT_EQ(net::read_frame(*server, got), net::WireStatus::Closed);
+}
+
+TEST(Transport, TcpFlippedPayloadBitIsChecksumMismatch) {
+  obs::Counter& failures = obs::Registry::global().counter("net.checksum_failures");
+  auto [client, server] = tcp_pair();
+  ASSERT_NE(client, nullptr);
+  ASSERT_NE(server, nullptr);
+
+  // Through read_frame.
+  auto wire = valid_frame_bytes();
+  wire[net::kFrameHeaderBytes + 3] ^= 0x10;
+  std::uint64_t before = failures.value();
+  ASSERT_TRUE(client->send_all(wire.data(), wire.size()));
+  net::Frame got;
+  EXPECT_EQ(net::read_frame(*server, got), net::WireStatus::ChecksumMismatch);
+  EXPECT_EQ(failures.value(), before + 1);
+
+  // Through recv_request: the flipped bit sits in the body, past the
+  // [id][op] prefix the receiver reads together with the header.
+  net::Frame req;
+  req.type = net::kFrameRequest;
+  req.payload.assign(9 + 64, 0x5a);
+  net::encode_frame(req, wire);
+  wire[net::kFrameHeaderBytes + 9 + 40] ^= 0x01;
+  before = failures.value();
+  ASSERT_TRUE(client->send_all(wire.data(), wire.size()));
+  net::RpcRequest rr;
+  EXPECT_EQ(net::recv_request(*server, rr), net::WireStatus::ChecksumMismatch);
+  EXPECT_EQ(failures.value(), before + 1);
+
+  // A flip inside the prefix is caught the same way.
+  net::encode_frame(req, wire);
+  wire[net::kFrameHeaderBytes + 2] ^= 0x80;
+  ASSERT_TRUE(client->send_all(wire.data(), wire.size()));
+  EXPECT_EQ(net::recv_request(*server, rr), net::WireStatus::ChecksumMismatch);
+}
+
+TEST(Transport, TcpOldFormatMagicIsBadMagic) {
+  // A frame from a peer on the previous format: magic "GPAF" written as
+  // the LE u32 0x47504146, with its 8-byte trailer.
+  auto [client, server] = tcp_pair();
+  ASSERT_NE(client, nullptr);
+  ASSERT_NE(server, nullptr);
+  net::Writer old;
+  old.u32(0x47504146u);
+  old.u16(net::kFrameRequest);
+  old.u16(0);
+  old.u64(9 + 4);
+  for (int i = 0; i < 9 + 4 + 8; ++i) old.u8(static_cast<std::uint8_t>(i));
+  ASSERT_TRUE(client->send_all(old.buf.data(), old.buf.size()));
+  net::RpcRequest rr;
+  EXPECT_EQ(net::recv_request(*server, rr), net::WireStatus::BadMagic);
+}
+
+TEST(Transport, TcpLargeRequestRoundTripsBitExactly) {
+  // 9 MiB: far larger than the socket buffers, so the gather write
+  // returns partial counts and must resume mid-part.
+  auto [client, server] = tcp_pair();
+  ASSERT_NE(client, nullptr);
+  ASSERT_NE(server, nullptr);
+  Rng rng(12);
+  std::vector<std::uint8_t> head(13), tail((9u << 20) + 5);
+  for (auto& b : head) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto& b : tail) b = static_cast<std::uint8_t>(rng.next_u64());
+
+  net::WireStatus sent = net::WireStatus::Closed;
+  std::thread sender([&, t = client.get()] {
+    const net::ConstBytes parts[] = {{head.data(), head.size()}, {tail.data(), tail.size()}};
+    sent = net::send_request(*t, 77, net::Op::RingShard, parts);
+  });
+  net::RpcRequest got;
+  const net::WireStatus ws = net::recv_request(*server, got);
+  sender.join();
+  ASSERT_EQ(sent, net::WireStatus::Ok);
+  ASSERT_EQ(ws, net::WireStatus::Ok);
+  EXPECT_EQ(got.id, 77u);
+  EXPECT_EQ(got.op, net::Op::RingShard);
+  ASSERT_EQ(got.body.size(), head.size() + tail.size());
+  EXPECT_EQ(std::memcmp(got.body.data(), head.data(), head.size()), 0);
+  EXPECT_EQ(std::memcmp(got.body.data() + head.size(), tail.data(), tail.size()), 0);
 }
 
 TEST(Transport, TcpAcceptTimesOutCleanly) {
@@ -443,6 +607,44 @@ TEST(Cluster, RingPrefillBitIdenticalToSimCluster) {
       }
     }
   }
+}
+
+TEST(Cluster, RingShardRejectsTheNodesOwnShard) {
+  // A node folds its own shard from RingStart; a RingShard re-delivering
+  // that index is a router bug and gets a typed InvalidArgument.
+  const Index L = 8, d = 4;
+  const auto mask = build_csr_local(L, make_local(2));
+  const auto part = seqpar::partition_balanced_nnz(L, 2, seqpar::degrees_of(mask));
+  const Index rows = part.boundaries[1];
+  Rng rng(4);
+  Matrix<float> q(rows, d), k(rows, d), v(rows, d);
+  fill_uniform(q, rng);
+  fill_uniform(k, rng);
+  fill_uniform(v, rng);
+
+  net::NodeService node(net::NodeConfig{});
+  net::Writer start;
+  start.u64(9);  // ring id
+  start.u32(2);  // parts
+  start.u32(0);  // this node
+  net::put_partition(start, part);
+  net::put_csr(start, mask);
+  start.u8(0);
+  start.f32(-1.0f);
+  net::put_matrix(start, q);
+  net::put_matrix(start, k);
+  net::put_matrix(start, v);
+  net::RpcResponse rsp;
+  node.handle({1, net::Op::RingStart, start.buf}, rsp);
+  ASSERT_EQ(rsp.status, net::RpcStatus::Ok);
+
+  net::Writer own;
+  own.u64(9);
+  own.u32(0);  // shard 0 is this node's own
+  net::put_matrix(own, k);
+  net::put_matrix(own, v);
+  node.handle({2, net::Op::RingShard, own.buf}, rsp);
+  EXPECT_EQ(rsp.status, net::RpcStatus::InvalidArgument);
 }
 
 TEST(Cluster, RoutedDecodeBitIdenticalToLocalSessionManager) {

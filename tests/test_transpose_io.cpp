@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -126,6 +127,26 @@ TEST_F(IoFixture, RejectsTruncatedFile) {
   const auto mask = build_csr_local(64, LocalParams{4});
   save_csr(mask, path_);
   std::filesystem::resize_file(path_, std::filesystem::file_size(path_) / 2);
+  EXPECT_THROW(load_csr(path_), InvalidArgument);
+}
+
+TEST_F(IoFixture, RejectsHostileHeaderBeforeAllocating) {
+  // A valid magic and a few payload bytes behind a header whose sizes
+  // the file cannot hold: 2^40 nnz (a 12 TiB resize if trusted), and a
+  // row count that is negative as an Index.
+  auto write_header = [&](std::uint64_t rows, std::uint64_t cols, std::uint64_t nnz) {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write("GPACSR1", 8);  // includes the terminating NUL
+    const std::uint64_t header[3] = {rows, cols, nnz};
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+    const std::int64_t offsets[5] = {0, 0, 0, 0, 0};
+    out.write(reinterpret_cast<const char*>(offsets), sizeof(offsets));
+  };
+  write_header(4, 4, std::uint64_t{1} << 40);
+  EXPECT_THROW(load_csr(path_), InvalidArgument);
+  write_header(~std::uint64_t{0}, 4, 0);
+  EXPECT_THROW(load_csr(path_), InvalidArgument);
+  write_header(std::uint64_t{1} << 62, 4, 0);  // (rows + 1) * 8 wraps
   EXPECT_THROW(load_csr(path_), InvalidArgument);
 }
 
