@@ -221,8 +221,9 @@ int main(int argc, char** argv) {
     }
 
     // fp16 decode fold (the half-width KV page hot loop): one query row
-    // folded over L cached half K/V rows through dot_fh/axpby_h —
-    // widen-on-load arithmetic, half the page traffic of the fp32 fold.
+    // folded over L cached half K/V rows through the shared row fold
+    // (fold_tile_h) — widen-on-load arithmetic, half the page traffic
+    // of the fp32 fold.
     {
       const Index d = 64;
       const auto in = make_inputs(L, d, 28);
@@ -242,12 +243,13 @@ int main(int argc, char** argv) {
           [&] {
             OnlineSoftmaxRow osr;
             std::fill(acc.begin(), acc.end(), 0.0f);
+            detail::RowFold<half_t> fold(vo, in.q.row(0), d, 0.125f, false, osr.m, osr.l,
+                                         acc.data());
             for (Index j = 0; j < L; ++j) {
-              detail::fold_edge_rows_fh(
-                  in.q.row(0), kh.data() + static_cast<std::size_t>(j) * static_cast<std::size_t>(d),
-                  vh.data() + static_cast<std::size_t>(j) * static_cast<std::size_t>(d), d, 0.125f,
-                  1.0f, false, osr, acc.data(), vo);
+              const std::size_t off = static_cast<std::size_t>(j) * static_cast<std::size_t>(d);
+              fold.add(kh.data() + off, vh.data() + off, 1.0f);
             }
+            fold.finish();
           },
           args.run);
       report("fp16_decode_fold", level, L, d, 4.0 * static_cast<double>(d) * edges,

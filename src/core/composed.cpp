@@ -14,12 +14,13 @@ void composed_attention(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>&
   GPA_CHECK(mask.seq_len == q.rows(), "composed mask length mismatch");
   SoftmaxState state(q.rows(), v.cols());
   // One row-parallel pass folding every component's edges per row, in
-  // composition order. Per row this is the same fold sequence as the
-  // historical one-kernel-call-per-component chain (rows are
-  // independent, so interleaving across rows cannot reorder a row's
-  // folds) — bit-identical output — but Q is swept once instead of once
-  // per component, and each row's (m, l) stays in registers across the
-  // whole union.
+  // composition order, as ONE enumeration per row: a tile may span a
+  // component boundary. Q is swept once instead of once per component,
+  // and each row's (m, l) stays live across the whole union. A chain of
+  // per-component kernel calls folds the same edges but flushes a tile
+  // at each component's end, so it agrees only up to rounding; decode
+  // sessions over a composed mask enumerate like this pass and match it
+  // bit for bit.
   const std::vector<MaskTraversal> components = traversals_of(mask, /*owning=*/false);
   detail::run_rows(q, k, v, opts, state, components);  // Auto resolves over summed degrees
   state.finalize_into(out);

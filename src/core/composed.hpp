@@ -12,8 +12,10 @@
 
 namespace gpa {
 
-/// Runs each component through its dedicated kernel (local / dilated /
-/// global / CSR) sequentially.
+/// Folds every component's edges (each through its family's traversal:
+/// local / dilated / global / CSR) in one row-parallel pass, one
+/// enumeration per row — equal to the sequential per-component kernel
+/// calls up to rounding.
 template <typename T>
 void composed_attention(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
                         const ComposedMask& mask, Matrix<T>& out,

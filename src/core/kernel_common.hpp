@@ -2,22 +2,38 @@
 // Shared implementation of Algorithm 1 (Graph Processing Attention).
 //
 // Every kernel is the same row-parallel fold; they differ only in the
-// neighbor enumeration (`Get_Neighbors`). The fold below is the paper's
-// inner loop with one algebraic change: the accumulator stays
-// unnormalised (U = l·O) and is divided by l once at finalisation,
-// instead of renormalising on every edge, which saves a d-wide divide
-// per edge. Per edge:
+// neighbor enumeration (`Get_Neighbors`). The fold keeps, per row, the
+// running max m of the scores folded so far, l = Σ exp(s − m) and an
+// UNNORMALISED accumulator U = Σ exp(s − m)·V (= l·O), divided by l
+// once at finalisation instead of renormalising per edge. Edges are
+// folded a tile at a time: RowFold buffers up to simd::kTile edges of a
+// row and folds them in one VecOps::fold_tile call. For a tile with
+// scores s_j = scale·(Q_i·K_j) (optionally ·mask value), let
+// m_new = max(m, max_j s_j). Every term already in l and U moves from
+// base m to base m_new by one factor, exp(s − m_new) = exp(s − m)·alpha
+// with alpha = exp(m − m_new), and the tile's own terms enter at the new
+// base, p_j = exp(s_j − m_new):
 //
-//   w      = scale · (Q_i · K_j)          (optionally · mask value)
-//   m_new  = max(m, w)
-//   alpha  = exp(m − m_new), beta = exp(w − m_new)
-//   l      = l·alpha + beta
-//   U_i    = U_i·alpha + beta·V_j
+//   l   = l·alpha + Σ_j p_j
+//   U_i = U_i·alpha + Σ_j p_j·V_j
+//   m   = m_new
 //
-// which is exactly the paper's update after multiplying through by l.
+// One max, one batch of exps and one pass over V per tile, instead of a
+// dependent max → exp → rescale chain per edge. (A tile of one edge is
+// the paper's per-edge update after multiplying through by l.)
+//
+// THE TILE RULE: a tile never crosses the end of an enumeration. One
+// enumeration is a row's full neighbor list for the one-shot kernels,
+// composed_attention, serve batches, kvcache prefill and decode, and a
+// (row, K/V shard) pair for the sequence-parallel paths (seqpar ring and
+// sim_cluster, the wire ring in src/net). Two paths that enumerate the
+// same edges in the same order with the same breaks therefore fold the
+// same tiles on the same arm — which is what keeps decode ≡ one-shot,
+// wire ≡ sim_cluster and serve ≡ direct kernel bitwise.
 
 #include <cmath>
 #include <type_traits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/attention_options.hpp"
@@ -26,7 +42,6 @@
 #include "parallel/parallel_for.hpp"
 #include "simd/simd.hpp"
 #include "tensor/matrix.hpp"
-#include "tensor/softmax.hpp"
 
 namespace gpa::detail {
 
@@ -49,83 +64,59 @@ void check_inputs(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
             "softmax state shape mismatch — reset(seq_len, head_dim) first");
 }
 
-/// Fold one (row, neighbor) edge into the row's online-softmax state,
-/// with the K/V rows given as raw pointers. This is the lowest-level
-/// form of the fold: the matrix kernels wrap it via fold_edge below, and
-/// the KV-cache decode path calls it directly with paged K/V row
-/// pointers (each page slot is a contiguous d-float span), so incremental
-/// decode reuses the exact fold — same VecOps dispatch, same operation
-/// order — and stays bit-identical to the one-shot kernels.
-/// `qi` is the query row, `acc` the unnormalised accumulator. Both
-/// instantiations route the d-dimension loops (Q·K dot, accumulate /
-/// rescale) through the dispatched vector ops: the half instantiation
-/// uses the fp16 table entries (F16C/AVX-512 widen on load, fp32
-/// accumulate), so half storage vectorizes with the same parity class
-/// as the float path on every arm.
-template <typename T>
-inline void fold_edge_rows(const T* GPA_RESTRICT qi, const T* GPA_RESTRICT kj,
-                           const T* GPA_RESTRICT vj, Index head_dim, float scale, float gate,
-                           bool use_gate, OnlineSoftmaxRow& osr, float* GPA_RESTRICT acc,
-                           const simd::VecOps& vo) {
-  float w;
-  if constexpr (std::is_same_v<T, float>) {
-    w = vo.dot(qi, kj, head_dim);
-  } else {
-    w = vo.dot_h(qi, kj, head_dim);
-  }
-  w *= scale;
-  if (use_gate) w *= gate;
+/// Folds one enumeration of a row's edges into its (m, l, acc) state,
+/// tile by tile. `KV` is the K/V storage type (float, or half_t rows
+/// that widen on load); the query row is always float. Call add() per
+/// edge in enumeration order and finish() at the end of the
+/// enumeration — the tile rule above.
+template <typename KV>
+class RowFold {
+ public:
+  RowFold(const simd::VecOps& vo, const float* q, Index head_dim, float scale, bool use_gate,
+          float& m, float& l, float* acc) noexcept
+      : vo_(vo), q_(q), d_(head_dim), scale_(scale), use_gate_(use_gate), m_(m), l_(l),
+        acc_(acc) {}
 
-  const auto [alpha, beta] = osr.push(w);
-  if constexpr (std::is_same_v<T, float>) {
-    if (alpha == 1.0f) {  // running max unchanged — skip the rescale multiply
-      vo.axpy(acc, beta, vj, head_dim);
+  void add(const KV* k_row, const KV* v_row, float gate) noexcept {
+    k_[n_] = k_row;
+    v_[n_] = v_row;
+    gate_[n_] = gate;
+    if (++n_ == simd::kTile) flush();
+  }
+
+  /// Folds the buffered remainder (a partial tile).
+  void finish() noexcept {
+    if (n_ > 0) flush();
+  }
+
+ private:
+  void flush() noexcept {
+    if constexpr (std::is_same_v<KV, float>) {
+      vo_.fold_tile(q_, k_, v_, gate_, n_, d_, scale_, use_gate_, m_, l_, acc_);
     } else {
-      vo.axpby(acc, alpha, beta, vj, head_dim);
+      vo_.fold_tile_h(q_, k_, v_, gate_, n_, d_, scale_, use_gate_, m_, l_, acc_);
     }
-  } else {
-    if (alpha == 1.0f) {
-      vo.axpy_h(acc, beta, vj, head_dim);
-    } else {
-      vo.axpby_h(acc, alpha, beta, vj, head_dim);
-    }
+    n_ = 0;
   }
-}
 
-/// Mixed-precision fold for decode over half-width KV pages: the query
-/// row is the caller's fp32 payload, K/V come from fp16 page storage
-/// and widen on load. Numerics match folding the widened rows through
-/// the float path (widening is exact), so fp16-page decode differs from
-/// fp32-page decode only by the storage quantisation of K/V.
-inline void fold_edge_rows_fh(const float* GPA_RESTRICT qi, const half_t* GPA_RESTRICT kj,
-                              const half_t* GPA_RESTRICT vj, Index head_dim, float scale,
-                              float gate, bool use_gate, OnlineSoftmaxRow& osr,
-                              float* GPA_RESTRICT acc, const simd::VecOps& vo) {
-  float w = vo.dot_fh(qi, kj, head_dim);
-  w *= scale;
-  if (use_gate) w *= gate;
-
-  const auto [alpha, beta] = osr.push(w);
-  if (alpha == 1.0f) {
-    vo.axpy_h(acc, beta, vj, head_dim);
-  } else {
-    vo.axpby_h(acc, alpha, beta, vj, head_dim);
-  }
-}
-
-/// Matrix-indexed convenience wrapper over fold_edge_rows (the form the
-/// one-shot kernels' row enumerators use).
-template <typename T>
-inline void fold_edge(const T* GPA_RESTRICT qi, const Matrix<T>& k_mat, const Matrix<T>& v_mat,
-                      Index j, Index head_dim, float scale, float gate, bool use_gate,
-                      OnlineSoftmaxRow& osr, float* GPA_RESTRICT acc,
-                      const simd::VecOps& vo) {
-  fold_edge_rows(qi, k_mat.row(j), v_mat.row(j), head_dim, scale, gate, use_gate, osr, acc, vo);
-}
+  const simd::VecOps& vo_;
+  const float* q_;
+  Index d_;
+  float scale_;
+  bool use_gate_;
+  float& m_;
+  float& l_;
+  float* acc_;
+  Index n_ = 0;
+  const KV* k_[simd::kTile];
+  const KV* v_[simd::kTile];
+  float gate_[simd::kTile];
+};
 
 /// The row-parallel driver. `row_enum(i, edge)` must call
 /// `edge(j, gate)` for every neighbor j of row i (gate is the mask value
-/// for explicit formats, 1.0f otherwise).
+/// for explicit formats, 1.0f otherwise); the whole call is one
+/// enumeration, folded by one RowFold.
 template <typename T, typename RowEnum>
 void run_rows(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
               const AttentionOptions& opts, SoftmaxState& state, RowEnum&& row_enum) {
@@ -137,14 +128,19 @@ void run_rows(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
   const simd::VecOps& vo = simd::ops(opts.policy.simd);  // resolved once per call
 
   parallel_for(0, seq_len, opts.policy, [&](Index i) {
-    const T* qi = q.row(i);
-    float* acc = state.acc_row(i);
-    OnlineSoftmaxRow osr{state.m(i), state.l(i)};
-    row_enum(i, [&](Index j, float gate) {
-      fold_edge(qi, k, v, j, head_dim, scale, gate, use_gate, osr, acc, vo);
-    });
-    state.m(i) = osr.m;
-    state.l(i) = osr.l;
+    const float* qi;
+    if constexpr (std::is_same_v<T, float>) {
+      qi = q.row(i);
+    } else {
+      // Half queries widen once per row (exact), then fold like float.
+      thread_local std::vector<float> q_wide;
+      q_wide.resize(static_cast<std::size_t>(head_dim));
+      vo.h2f(q_wide.data(), q.row(i), head_dim);
+      qi = q_wide.data();
+    }
+    RowFold<T> fold(vo, qi, head_dim, scale, use_gate, state.m(i), state.l(i), state.acc_row(i));
+    row_enum(i, [&](Index j, float gate) { fold.add(k.row(j), v.row(j), gate); });
+    fold.finish();
   });
 }
 
@@ -161,8 +157,9 @@ void run_rows(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
 }
 
 /// Composition form (composed_attention): one row-parallel pass folding
-/// every component per row, schedule resolved over the components'
-/// summed degree profile.
+/// every component per row as ONE enumeration (a tile may span a
+/// component boundary), schedule resolved over the components' summed
+/// degree profile.
 template <typename T>
 void run_rows(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
               const AttentionOptions& opts, SoftmaxState& state,

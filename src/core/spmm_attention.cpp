@@ -26,8 +26,7 @@ Csr<float> sddmm(const Matrix<T>& q, const Matrix<T>& k, const Csr<float>& mask,
   const Index d = q.cols();
   // The Q·K dots go through the dispatched vector ops on the float
   // path (same lane contract as the fused kernels, so both arms stay
-  // bit-identical); half storage keeps the scalar convert loop (F16C
-  // open, as in kernel_common's fold).
+  // bit-identical); half storage keeps the scalar convert loop.
   const simd::VecOps& vo = simd::ops(policy.simd);
 
   parallel_for(0, mask.rows, policy, [&](Index i) {
@@ -75,11 +74,9 @@ void spmm(const Csr<float>& s, const Matrix<T>& v, Matrix<T>& out, const ExecPol
   GPA_CHECK(s.cols == v.rows(), "SpMM inner dimension mismatch");
   GPA_CHECK(out.rows() == s.rows && out.cols() == v.cols(), "SpMM output shape mismatch");
   const Index d = v.cols();
-  // The weighted V-row accumulation is the axpy of the fused kernels'
-  // fold; float storage rides the dispatched arm (same lane contract,
-  // so scalar and AVX2 dispatch stay bit-identical), half keeps the
-  // scalar convert-and-accumulate loop (F16C open, as in
-  // kernel_common's fold).
+  // The weighted V-row accumulation is a dispatched axpy per edge on
+  // float storage (same lane contract, so scalar and AVX2 dispatch stay
+  // bit-identical); half keeps the scalar convert-and-accumulate loop.
   const simd::VecOps& vo = simd::ops(policy.simd);
   parallel_for(0, s.rows, policy, [&](Index i) {
     // Accumulate in float even for half storage.

@@ -8,8 +8,7 @@ namespace gpa {
 
 void SoftmaxState::reset(Index seq_len, Index head_dim) {
   GPA_CHECK(seq_len >= 0 && head_dim >= 0, "state extents must be non-negative");
-  acc_ = Matrix<float>(seq_len, head_dim);
-  acc_.zero();
+  acc_ = Matrix<float>(seq_len, head_dim);  // value-initialised: already zero
   m_.assign(static_cast<std::size_t>(seq_len), -std::numeric_limits<float>::infinity());
   l_.assign(static_cast<std::size_t>(seq_len), 0.0f);
 }

@@ -6,8 +6,8 @@
 // (page-contiguously) by its V row, both `head_dim` elements, so a
 // decode fold reads each neighbor's K and V as contiguous spans — the
 // same access shape as Matrix::row(), which is what lets the shared
-// fold_edge_rows (and with it every SIMD dispatch arm) run unchanged
-// over paged storage.
+// row fold (detail::RowFold, and with it every SIMD dispatch arm) run
+// unchanged over paged storage.
 //
 // STORAGE DTYPE. The arena is fp32 or fp16, chosen at construction
 // (BlockPoolConfig::dtype). fp16 pages halve bytes-per-token, which the
@@ -15,7 +15,7 @@
 // device at an equal byte budget. Writes into an fp16 pool narrow with
 // round-to-nearest-even through the dispatched f2h op (bit-identical on
 // every arm, so page payloads are dispatch-independent); decode widens
-// on load through the vectorized fp16 fold path. Accessors are
+// on load inside the fold (VecOps::fold_tile_h). Accessors are
 // dtype-split: k_row/v_row address the fp32 arena, k_row_h/v_row_h the
 // fp16 arena — callers branch on dtype(), never reinterpret.
 //

@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_reduce.hpp"
+#include "tensor/softmax.hpp"
 
 namespace gpa::kvcache {
 namespace {
@@ -367,21 +368,24 @@ Index SessionManager::decode_step(std::uint64_t id, const float* q_new, const fl
   float* acc = s->acc.data();
   OnlineSoftmaxRow osr;
   Index edges = 0;
+  // One enumeration, one RowFold: the same tiles the one-shot kernel
+  // folds for row t.
   if (pool_.dtype() == DType::F16) {
-    // Half-width pages: K/V widen on load through the vectorized fp16
-    // fold — output differs from an fp32-page session only by the
-    // storage quantisation of the cached rows.
+    // Half-width pages: K/V widen on load — output differs from an
+    // fp32-page session only by the storage quantisation of the rows.
+    detail::RowFold<half_t> fold(vo, q_new, d, scale, use_gate, osr.m, osr.l, acc);
     s->mask.for_each_causal(t, [&](Index j, float gate) {
-      detail::fold_edge_rows_fh(q_new, s->table.k_row_h(pool_, j), s->table.v_row_h(pool_, j),
-                                d, scale, gate, use_gate, osr, acc, vo);
+      fold.add(s->table.k_row_h(pool_, j), s->table.v_row_h(pool_, j), gate);
       ++edges;
     });
+    fold.finish();
   } else {
+    detail::RowFold<float> fold(vo, q_new, d, scale, use_gate, osr.m, osr.l, acc);
     s->mask.for_each_causal(t, [&](Index j, float gate) {
-      detail::fold_edge_rows(q_new, s->table.k_row(pool_, j), s->table.v_row(pool_, j), d, scale,
-                             gate, use_gate, osr, acc, vo);
+      fold.add(s->table.k_row(pool_, j), s->table.v_row(pool_, j), gate);
       ++edges;
     });
+    fold.finish();
   }
 
   // Same normalisation expression as SoftmaxState::finalize_into, so a

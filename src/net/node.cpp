@@ -6,7 +6,6 @@
 #include "core/kernel_common.hpp"
 #include "core/traversal.hpp"
 #include "obs/trace.hpp"
-#include "tensor/softmax.hpp"
 
 namespace gpa::net {
 
@@ -389,18 +388,17 @@ void NodeService::fold_shard(Ring& g, Index idx, const Matrix<float>& ks,
   // host class as the sim_cluster oracle, so the resolved VecOps arm
   // (and with it the fold's operation order) matches.
   const simd::VecOps& vo = simd::ops(ExecPolicy{}.simd);
+  // One enumeration per (row, shard): tiles flush at the shard's end,
+  // exactly as sim_cluster folds the same partition.
   for (Index i = g.row_lo; i < g.row_hi; ++i) {
     const Index li = i - g.row_lo;
-    const float* qi = g.q.row(li);
-    float* acc = g.state.acc_row(li);
-    OnlineSoftmaxRow osr{g.state.m(li), g.state.l(li)};
+    gpa::detail::RowFold<float> fold(vo, g.q.row(li), g.head_dim, g.scale, false, g.state.m(li),
+                                     g.state.l(li), g.state.acc_row(li));
     tr.for_each_edge_in_cols(i, g.seq_len, g.causal, col_lo, col_hi, [&](Index j, float) {
-      gpa::detail::fold_edge_rows(qi, ks.row(j - col_lo), vs.row(j - col_lo), g.head_dim,
-                                  g.scale, 1.0f, false, osr, acc, vo);
+      fold.add(ks.row(j - col_lo), vs.row(j - col_lo), 1.0f);
       ++g.edges;
     });
-    g.state.m(li) = osr.m;
-    g.state.l(li) = osr.l;
+    fold.finish();
   }
 }
 

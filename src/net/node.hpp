@@ -5,18 +5,19 @@
 // ring attention.
 //
 // Ring prefill bit-identity (the differential gate vs
-// seqpar/sim_cluster): sim_cluster folds each row's full neighborhood
-// in ascending column order. Ring rotation delivers shards in rotated
-// order — node p sees shards p, p+1, ..., P-1, 0, ..., p-1 — so a node
-// folding on arrival would fold columns out of order and drift in the
-// last float bits (the online-softmax fold is order-dependent). Nodes
-// therefore do *deferred in-order folding*: an arriving shard is
-// stashed, and shard s is folded only once shards 0..s-1 have been
-// folded (then freed). The per-row fold order is ascending columns —
-// exactly sim_cluster's, and exactly the one-shot kernel's — so the
-// finalized outputs are bit-identical by construction. Peak extra
-// memory is the stash: at most the shards between the fold cursor and
-// the rotation position.
+// seqpar/sim_cluster): sim_cluster folds each row shard by shard, in
+// ascending column order over the same partition, one row-fold
+// enumeration per (row, shard) — a tile flushes at every shard end.
+// Ring rotation delivers shards in rotated order — node p sees shards
+// p, p+1, ..., P-1, 0, ..., p-1 — so a node folding on arrival would
+// fold columns out of order and drift in the last float bits (the
+// online-softmax fold is order-dependent). Nodes therefore do
+// *deferred in-order folding*: an arriving shard is stashed, and shard
+// s is folded only once shards 0..s-1 have been folded (then freed).
+// Each node then folds exactly sim_cluster's tiles, so the finalized
+// outputs are bit-identical by construction. Peak extra memory is the
+// stash: at most the shards between the fold cursor and the rotation
+// position.
 
 #include <cstdint>
 #include <map>

@@ -6,7 +6,6 @@
 #include "core/kernel_common.hpp"
 #include "core/state.hpp"
 #include "core/traversal.hpp"
-#include "tensor/softmax.hpp"
 
 namespace gpa::seqpar {
 
@@ -63,15 +62,14 @@ RingReport ring_csr_attention(const Matrix<float>& q, const Matrix<float>& k,
       const Index row_hi = partition.boundaries[static_cast<std::size_t>(p) + 1];
 
       for (Index i = row_lo; i < row_hi; ++i) {
-        const float* qi = q.row(i);
-        float* acc = state.acc_row(i);
-        OnlineSoftmaxRow osr{state.m(i), state.l(i)};
+        // One enumeration per (row, shard): tiles flush at the shard end.
+        gpa::detail::RowFold<float> fold(vo, q.row(i), d, scale, false, state.m(i), state.l(i),
+                                         state.acc_row(i));
         tr.for_each_edge_in_cols(i, L, opts.causal, col_lo, col_hi, [&](Index j, float) {
-          gpa::detail::fold_edge(qi, k, v, j, d, scale, 1.0f, false, osr, acc, vo);
+          fold.add(k.row(j), v.row(j), 1.0f);
           ++step_edges;
         });
-        state.m(i) = osr.m;
-        state.l(i) = osr.l;
+        fold.finish();
       }
     }
     report.edges_per_step[static_cast<std::size_t>(s)] = step_edges;

@@ -9,6 +9,7 @@
 #include "core/kernel_common.hpp"
 #include "core/state.hpp"
 #include "core/traversal.hpp"
+#include "tensor/softmax.hpp"
 
 namespace gpa::seqpar {
 
@@ -25,22 +26,24 @@ ClusterReport distributed_csr_attention(const Matrix<float>& q, const Matrix<flo
             "partition must cover [0, L)");
   const float scale = gpa::detail::resolve_scale(opts.scale, d);
   const simd::VecOps& vo = simd::ops(opts.policy.simd);
-  // THE iteration order: each node's row loop drives the same traversal
-  // the one-shot kernels do, so the simulated cluster is bit-identical
-  // to the single-node kernel by construction (and the wire path can
-  // batch-key on tr.fingerprint()). Causal masks now intersect the
-  // triangle exactly as the kernels' causal branches do.
+  // THE iteration order: each node folds each of its rows shard by
+  // shard, in ascending column order over the same partition, through
+  // the traversal's column-ranged enumeration — one RowFold per (row,
+  // shard), so tiles flush at every shard end exactly as a wire node's
+  // deferred in-order fold does. That makes this the bitwise oracle of
+  // the wire ring prefill (src/net) on the same partition and arm.
   const MaskTraversal tr = MaskTraversal::over(mask);
+  const Index parts = partition.parts();
 
   ClusterReport report;
-  report.nodes.resize(static_cast<std::size_t>(partition.parts()));
+  report.nodes.resize(static_cast<std::size_t>(parts));
 
   // One thread per node; each node folds its own rows. K/V are shared
   // read-only here — the gathered_bytes field records what a real
   // all-gather would ship (full K and V per node, as LongNet does).
   std::vector<std::thread> nodes;
   nodes.reserve(report.nodes.size());
-  for (Index p = 0; p < partition.parts(); ++p) {
+  for (Index p = 0; p < parts; ++p) {
     nodes.emplace_back([&, p] {
       const auto t0 = std::chrono::steady_clock::now();
       const Index lo = partition.boundaries[static_cast<std::size_t>(p)];
@@ -48,14 +51,19 @@ ClusterReport distributed_csr_attention(const Matrix<float>& q, const Matrix<flo
       Size edges = 0;
       std::vector<float> acc(static_cast<std::size_t>(d));
       for (Index i = lo; i < hi; ++i) {
-        const float* qi = q.row(i);
         OnlineSoftmaxRow osr;
-        for (Index x = 0; x < d; ++x) acc[static_cast<std::size_t>(x)] = 0.0f;
-        tr.for_each_edge(i, L, opts.causal, [&](Index j, float gate) {
-          gpa::detail::fold_edge(qi, k, v, j, d, scale, gate, opts.use_mask_values, osr,
-                                 acc.data(), vo);
-          ++edges;
-        });
+        std::fill(acc.begin(), acc.end(), 0.0f);
+        for (Index shard = 0; shard < parts; ++shard) {
+          gpa::detail::RowFold<float> fold(vo, q.row(i), d, scale, opts.use_mask_values, osr.m,
+                                           osr.l, acc.data());
+          tr.for_each_edge_in_cols(
+              i, L, opts.causal, partition.boundaries[static_cast<std::size_t>(shard)],
+              partition.boundaries[static_cast<std::size_t>(shard) + 1], [&](Index j, float gate) {
+                fold.add(k.row(j), v.row(j), gate);
+                ++edges;
+              });
+          fold.finish();
+        }
         const float inv = osr.inv_l();
         float* oi = out.row(i);
         for (Index x = 0; x < d; ++x) oi[x] = acc[static_cast<std::size_t>(x)] * inv;

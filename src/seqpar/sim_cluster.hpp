@@ -31,8 +31,11 @@ struct ClusterReport {
 };
 
 /// Runs CSR graph attention with rows partitioned across `partition`,
-/// one OS thread per node, writing into `out`. The result equals the
-/// single-node kernel exactly (same arithmetic per row).
+/// one OS thread per node, writing into `out`. Each row folds shard by
+/// shard in ascending column order (tiles flush at shard ends), so the
+/// result is bit-identical to the wire ring prefill over the same
+/// partition, and equals the single-node kernel up to rounding (exactly
+/// when the partition has one part).
 ClusterReport distributed_csr_attention(const Matrix<float>& q, const Matrix<float>& k,
                                         const Matrix<float>& v, const Csr<float>& mask,
                                         const Partition& partition, Matrix<float>& out,

@@ -1,10 +1,55 @@
 #include "serve/server_stats.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "obs/metrics.hpp"
 
 namespace gpa::serve {
 
 namespace {
+
+/// Latency bucket edges in µs: 16 per octave from 2^-4 µs to 2^30 µs
+/// (about 18 minutes); slower completions land in the overflow bucket.
+const std::vector<double>& latency_edges_us() {
+  static const std::vector<double> edges = [] {
+    std::vector<double> e;
+    for (int k = -4 * 16; k <= 30 * 16; ++k) e.push_back(std::exp2(k / 16.0));
+    return e;
+  }();
+  return edges;
+}
+
+/// The latency bucket an observation falls in: the first edge >= us,
+/// or the overflow slot past the last edge.
+std::size_t latency_bucket(double us) {
+  const std::vector<double>& e = latency_edges_us();
+  return static_cast<std::size_t>(std::lower_bound(e.begin(), e.end(), us) - e.begin());
+}
+
+/// Tail summary in ms of a latency histogram: each percentile is the
+/// upper edge of the bucket holding its rank, capped at the exact max.
+benchutil::TailStats tail_ms(const std::vector<Size>& counts, double max_us) {
+  const std::vector<double>& edges = latency_edges_us();
+  benchutil::TailStats t;
+  for (const Size c : counts) t.samples += c;
+  if (t.samples == 0) return t;
+  const auto at = [&](double pct) {
+    const auto rank = std::max<Size>(
+        1, static_cast<Size>(std::ceil(pct / 100.0 * static_cast<double>(t.samples))));
+    Size seen = 0;
+    for (std::size_t b = 0; b < edges.size(); ++b) {
+      seen += counts[b];
+      if (seen >= rank) return std::min(edges[b], max_us) / 1000.0;
+    }
+    return max_us / 1000.0;  // the rank falls in the overflow bucket
+  };
+  t.p50 = at(50.0);
+  t.p95 = at(95.0);
+  t.p99 = at(99.0);
+  t.max = max_us / 1000.0;
+  return t;
+}
 
 // Cached references into the global registry so each record_* adds one
 // sharded-atomic bump on top of its locked update. The locked fields
@@ -50,6 +95,10 @@ struct ServeMetrics {
 };
 
 }  // namespace
+
+ServerStats::ServerStats()
+    : latency_counts_(latency_edges_us().size() + 1),
+      service_counts_(latency_edges_us().size() + 1) {}
 
 void ServerStats::record_submitted() {
   {
@@ -121,8 +170,10 @@ void ServerStats::record_completion(double total_us, double service_us) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     ++completed_ok_;
-    latency_us_.push_back(total_us);
-    service_us_.push_back(service_us);
+    ++latency_counts_[latency_bucket(total_us)];
+    ++service_counts_[latency_bucket(service_us)];
+    latency_max_us_ = std::max(latency_max_us_, total_us);
+    service_max_us_ = std::max(service_max_us_, service_us);
   }
   ServeMetrics& m = ServeMetrics::get();
   m.completed.inc();
@@ -131,8 +182,9 @@ void ServerStats::record_completion(double total_us, double service_us) {
 }
 
 StatsSnapshot ServerStats::snapshot() const {
-  std::vector<double> latency, service;
   StatsSnapshot s;
+  std::vector<Size> latency, service;
+  double latency_max_us = 0.0, service_max_us = 0.0;
   {
     // One critical section reads every field, and every record_* writes
     // its coupled fields inside the same mutex — a snapshot can never
@@ -149,13 +201,13 @@ StatsSnapshot ServerStats::snapshot() const {
     s.batches = batches_;
     s.occupancy = occupancy_;
     s.max_queue_depth = max_queue_depth_;
-    latency = latency_us_;
-    service = service_us_;
+    latency = latency_counts_;
+    service = service_counts_;
+    latency_max_us = latency_max_us_;
+    service_max_us = service_max_us_;
   }
-  for (auto& x : latency) x /= 1000.0;  // µs → ms
-  for (auto& x : service) x /= 1000.0;
-  s.latency_ms = benchutil::compute_tail_stats(std::move(latency));
-  s.service_ms = benchutil::compute_tail_stats(std::move(service));
+  s.latency_ms = tail_ms(latency, latency_max_us);
+  s.service_ms = tail_ms(service, service_max_us);
   Size weighted = 0;
   for (std::size_t b = 0; b < s.occupancy.size(); ++b) {
     weighted += s.occupancy[b] * static_cast<Size>(b);

@@ -2,9 +2,13 @@
 // Thread-safe serving metrics. Counters cover the full admission
 // funnel (submitted → accepted → completed/rejected-by-cause), gauges
 // track queue depth, and two latency series (end-to-end and service)
-// feed the p50/p95/p99 tail summary via benchutil's percentile
-// machinery. The batch-occupancy histogram is the direct evidence for
-// whether the batching policy actually coalesces work.
+// feed the p50/p95/p99 tail summary. The series are log-linear
+// histograms (16 buckets per octave), so a server's stats take the
+// same memory however many requests it completes; a percentile is
+// reported as its bucket's upper edge, capped at the exact maximum —
+// at most 2^(1/16) − 1 ≈ 4.4 % above the exact order statistic. The
+// batch-occupancy histogram is the direct evidence for whether the
+// batching policy actually coalesces work.
 //
 // Consistency contract: every record_* mutates its coupled fields
 // under ONE mutex and snapshot() reads every field in one critical
@@ -49,6 +53,8 @@ struct StatsSnapshot {
 
 class ServerStats {
  public:
+  ServerStats();
+
   void record_submitted();
   void record_rejected(ResponseStatus cause);
   void record_internal_error();
@@ -70,8 +76,12 @@ class ServerStats {
   Size batches_ = 0;
   std::vector<Size> occupancy_;
   std::size_t max_queue_depth_ = 0;
-  std::vector<double> latency_us_;
-  std::vector<double> service_us_;
+  /// Completions per latency bucket (log-linear edges, last slot is
+  /// the overflow), end-to-end and service.
+  std::vector<Size> latency_counts_;
+  std::vector<Size> service_counts_;
+  double latency_max_us_ = 0.0;
+  double service_max_us_ = 0.0;
 };
 
 }  // namespace gpa::serve

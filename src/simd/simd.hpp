@@ -1,9 +1,10 @@
 #pragma once
 // Runtime-dispatched vector primitives for the d-dimension inner loops.
 //
-// Every hot kernel reduces to four row operations: a Q·K dot product, the
-// online-softmax accumulator update acc = alpha*acc + beta*v, a rescale,
-// and the max/sum reductions of the softmax passes. This layer provides
+// Every hot kernel reduces to a handful of row operations: the tiled
+// online-softmax row fold of graph attention (fold_tile, below), the
+// Q·K dot and axpy accumulate of gemm / spmm / flash, a rescale, and
+// the max/sum reductions of the softmax passes. This layer provides
 // those primitives behind a function-pointer table with four arms:
 //
 //  * scalar   — the always-compiled portable reference (compiled with
@@ -28,25 +29,28 @@
 //     result = op(u_0, u_1)
 // with no FMA contraction anywhere (both units are built with
 // -ffp-contract=off). Element-wise ops use the same expression shape and
-// operand order in both arms. Consequence: the scalar and AVX2 arms are
-// bit-identical on every input, which tests/test_simd_parity.cpp pins
-// down and which keeps the bit-exact gates (decode-vs-kernel, cluster
-// oracle, exec-matrix determinism) independent of the dispatch decision
-// between the bitwise arms.
+// operand order in both arms, and fold_tile evaluates its exponentials
+// with one libm std::exp call per element in both. Consequence: the
+// scalar and AVX2 arms are bit-identical on every input, which
+// tests/test_simd_parity.cpp pins down and which keeps the bit-exact
+// gates (decode-vs-kernel, cluster oracle, exec-matrix determinism)
+// independent of the dispatch decision between the bitwise arms.
 //
 // RELAXED arms — avx2-fma and avx512. An FMA rounds a·b+c once where
-// the contract rounds twice, and 16 lanes reassociate every reduction,
+// the contract rounds twice, 16 lanes reassociate every reduction, and
+// fold_tile evaluates a tile's exponentials with a vector polynomial,
 // so these arms CANNOT be bitwise vs scalar; each is instead (a) still
 // deterministic — the same inputs on the same arm give the same bits,
-// run-to-run and schedule-to-schedule — and (b) ULP-bounded against the
-// scalar reference, with bounds derived per reduction length in
-// tests/test_simd_parity.cpp. Bit-exact gates must run on a bitwise arm
-// (they force one); throughput paths take the relaxed arms by default.
+// run-to-run and schedule-to-schedule — and (b) bounded against the
+// scalar reference, with bounds derived per call in
+// tests/test_simd_parity.cpp. Bit-exact gates between two paths hold on
+// every arm as long as both paths fold the same tiles on the same arm;
+// gates against the scalar reference force a bitwise arm.
 //
 // FP16 ops: arithmetic is always float — half values are widened on
 // load (exactly: binary16 -> binary32 is lossless, in software and in
-// VCVTPH2PS) and accumulated in fp32, so the half dot/accumulate ops on
-// the bitwise arms are ALSO bit-identical to each other. f2h narrows
+// VCVTPH2PS) and accumulated in fp32, so fold_tile_h gives the same
+// bits as fold_tile over the widened rows on EVERY arm. f2h narrows
 // with round-to-nearest-even, matching common/half.hpp's software
 // converter bit-for-bit (test_half_exhaustive pins software == F16C).
 
@@ -59,6 +63,11 @@
 
 namespace gpa::simd {
 
+/// Edges per fold_tile call: the row fold buffers this many (K row,
+/// V row, gate) triples and folds them in one call. A constant, not a
+/// knob — tile boundaries are part of the fold's arithmetic.
+inline constexpr Index kTile = 16;
+
 /// The dispatch table. All pointers are non-null for every arm.
 /// Reductions over n == 0 return the operation identity (0 for sum/dot,
 /// -inf for max). NaN propagation in reduce_max follows x86 MAXPS
@@ -66,9 +75,7 @@ namespace gpa::simd {
 struct VecOps {
   /// Σ a[i]·b[i] under the lane contract.
   float (*dot)(const float* a, const float* b, Index n) noexcept;
-  /// acc[i] = acc[i]·alpha + beta·v[i] (the online-softmax row update).
-  void (*axpby)(float* acc, float alpha, float beta, const float* v, Index n) noexcept;
-  /// acc[i] += beta·v[i] (rescale-free fast path when the max is unchanged).
+  /// acc[i] += beta·v[i].
   void (*axpy)(float* acc, float beta, const float* v, Index n) noexcept;
   /// x[i] *= s.
   void (*scale)(float* x, float s, Index n) noexcept;
@@ -77,15 +84,27 @@ struct VecOps {
   /// Σ x[i] under the lane contract.
   float (*reduce_sum)(const float* x, Index n) noexcept;
 
-  // --- fp16 storage ops (widen to float, compute in fp32) ------------
-  /// Σ widen(a[i])·widen(b[i]) — the half-instantiation Q·K dot.
-  float (*dot_h)(const half_t* a, const half_t* b, Index n) noexcept;
-  /// Σ a[i]·widen(b[i]) — float query against half-width KV pages.
-  float (*dot_fh)(const float* a, const half_t* b, Index n) noexcept;
-  /// acc[i] = acc[i]·alpha + beta·widen(v[i]) (fp32 accumulator).
-  void (*axpby_h)(float* acc, float alpha, float beta, const half_t* v, Index n) noexcept;
-  /// acc[i] += beta·widen(v[i]).
-  void (*axpy_h)(float* acc, float beta, const half_t* v, Index n) noexcept;
+  /// Folds n (1 <= n <= kTile) edges of one row into its online-softmax
+  /// state (m, l, acc[0..d)), with j ascending everywhere:
+  ///   s_j = (q·k_j)·scale, then ·gate[j] when use_gate
+  ///   m'  = max(m, max_j s_j)  — if m' == -inf the state is untouched
+  ///   α   = exp(m − m'),  p_j = exp(s_j − m')
+  ///   l   = l·α + Σ_j p_j,  acc = acc·α + Σ_j p_j·v_j,  m = m'
+  /// Bitwise arms: dots under the lane contract, one std::exp per
+  /// element, the sums accumulated in j order starting from +0, no FMA.
+  /// Relaxed arms: FMA dots and accumulates with acc held in registers
+  /// for the whole tile, and a vector exp (exp(-inf) = 0, exp(0) = 1,
+  /// underflow to 0 or a denormal).
+  void (*fold_tile)(const float* q, const float* const* k, const float* const* v,
+                    const float* gate, Index n, Index d, float scale, bool use_gate, float& m,
+                    float& l, float* acc) noexcept;
+  /// fold_tile over half-width K/V rows, widened on load: the same bits
+  /// as fold_tile over the widened rows, on every arm.
+  void (*fold_tile_h)(const float* q, const half_t* const* k, const half_t* const* v,
+                      const float* gate, Index n, Index d, float scale, bool use_gate, float& m,
+                      float& l, float* acc) noexcept;
+
+  // --- fp16 conversions ------------------------------------------------
   /// dst[i] = widen(src[i]) (exact).
   void (*h2f)(float* dst, const half_t* src, Index n) noexcept;
   /// dst[i] = narrow(src[i]) (round-to-nearest-even; identical bits on

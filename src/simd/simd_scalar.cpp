@@ -6,6 +6,7 @@
 // auto-vectorization and FP contraction disabled, so "scalar" is a true
 // scalar baseline for the differential harness and the bench trajectory.
 
+#include <cmath>
 #include <limits>
 
 #include "simd/ops_tables.hpp"
@@ -39,25 +40,31 @@ inline float reduce_tree_max(const float* s) noexcept {
   return maxps(u0, u1);
 }
 
-float dot(const float* a, const float* b, Index n) noexcept {
+// Widening binary16 -> binary32 is exact (every half value is a float),
+// so the half instantiations run the identical arithmetic over the
+// widened values and stay bit-identical to the AVX2 arm's F16C path:
+// VCVTPH2PS performs the identical exact conversion.
+inline float widen(float x) noexcept { return x; }
+inline float widen(half_t x) noexcept { return static_cast<float>(x); }
+
+/// The lane-contract dot of a float query row against a float or half
+/// row.
+template <typename KV>
+float dot_row(const float* q, const KV* k, Index n) noexcept {
   float s[kLanes] = {};
   Index base = 0;
   for (; base + kLanes <= n; base += kLanes) {
-    for (int l = 0; l < kLanes; ++l) s[l] += a[base + l] * b[base + l];
+    for (int l = 0; l < kLanes; ++l) s[l] += q[base + l] * widen(k[base + l]);
   }
   if (base < n) {
-    // Masked tail: dead lanes contribute an explicit +0.0f, like the
-    // AVX2 arm's masked load (which yields zero products there).
     for (int l = 0; l < kLanes; ++l) {
-      s[l] += base + l < n ? a[base + l] * b[base + l] : 0.0f;
+      s[l] += base + l < n ? q[base + l] * widen(k[base + l]) : 0.0f;
     }
   }
   return reduce_tree_add(s);
 }
 
-void axpby(float* acc, float alpha, float beta, const float* v, Index n) noexcept {
-  for (Index i = 0; i < n; ++i) acc[i] = acc[i] * alpha + beta * v[i];
-}
+float dot(const float* a, const float* b, Index n) noexcept { return dot_row(a, b, n); }
 
 void axpy(float* acc, float beta, const float* v, Index n) noexcept {
   for (Index i = 0; i < n; ++i) acc[i] = acc[i] + beta * v[i];
@@ -97,51 +104,47 @@ float reduce_sum(const float* x, Index n) noexcept {
   return reduce_tree_add(s);
 }
 
-// --- fp16 storage ops ------------------------------------------------
-// Widening binary16 -> binary32 is exact (every half value is a float),
-// so these follow the same 8-lane contract as the float ops over the
-// widened values and stay bit-identical to the AVX2 arm's F16C path:
-// VCVTPH2PS performs the identical exact conversion.
+// --- the tiled row fold -----------------------------------------------
+// Executable specification of VecOps::fold_tile on the bitwise arms:
+// lane-contract dots, the shared softmax step (fold_tile_weights), then
+// per element t = Σ_j p_j·v_j in j order from +0 and acc = acc·α + t.
 
-float dot_h(const half_t* a, const half_t* b, Index n) noexcept {
-  float s[kLanes] = {};
-  Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    for (int l = 0; l < kLanes; ++l) {
-      s[l] += static_cast<float>(a[base + l]) * static_cast<float>(b[base + l]);
+/// Columns per accumulate block: the tile's Σ p_j·v_j is summed into a
+/// stack block, then merged as acc·α + block.
+constexpr Index kColBlock = 64;
+
+template <typename KV>
+void fold_tile_impl(const float* q, const KV* const* k, const KV* const* v, const float* gate,
+                    Index n, Index d, float scale, bool use_gate, float& m, float& l,
+                    float* acc) noexcept {
+  float p[kTile];
+  for (Index j = 0; j < n; ++j) p[j] = dot_row(q, k[j], d);
+  float alpha;
+  if (!fold_tile_weights(p, n, scale, gate, use_gate, m, l, alpha)) return;
+  for (Index c0 = 0; c0 < d; c0 += kColBlock) {
+    const Index w = d - c0 < kColBlock ? d - c0 : kColBlock;
+    float t[kColBlock] = {};
+    for (Index j = 0; j < n; ++j) {
+      const KV* vj = v[j] + c0;
+      for (Index x = 0; x < w; ++x) t[x] += p[j] * widen(vj[x]);
     }
+    for (Index x = 0; x < w; ++x) acc[c0 + x] = acc[c0 + x] * alpha + t[x];
   }
-  if (base < n) {
-    for (int l = 0; l < kLanes; ++l) {
-      s[l] += base + l < n
-                  ? static_cast<float>(a[base + l]) * static_cast<float>(b[base + l])
-                  : 0.0f;
-    }
-  }
-  return reduce_tree_add(s);
 }
 
-float dot_fh(const float* a, const half_t* b, Index n) noexcept {
-  float s[kLanes] = {};
-  Index base = 0;
-  for (; base + kLanes <= n; base += kLanes) {
-    for (int l = 0; l < kLanes; ++l) s[l] += a[base + l] * static_cast<float>(b[base + l]);
-  }
-  if (base < n) {
-    for (int l = 0; l < kLanes; ++l) {
-      s[l] += base + l < n ? a[base + l] * static_cast<float>(b[base + l]) : 0.0f;
-    }
-  }
-  return reduce_tree_add(s);
+void fold_tile(const float* q, const float* const* k, const float* const* v, const float* gate,
+               Index n, Index d, float scale, bool use_gate, float& m, float& l,
+               float* acc) noexcept {
+  fold_tile_impl(q, k, v, gate, n, d, scale, use_gate, m, l, acc);
 }
 
-void axpby_h(float* acc, float alpha, float beta, const half_t* v, Index n) noexcept {
-  for (Index i = 0; i < n; ++i) acc[i] = acc[i] * alpha + beta * static_cast<float>(v[i]);
+void fold_tile_h(const float* q, const half_t* const* k, const half_t* const* v,
+                 const float* gate, Index n, Index d, float scale, bool use_gate, float& m,
+                 float& l, float* acc) noexcept {
+  fold_tile_impl(q, k, v, gate, n, d, scale, use_gate, m, l, acc);
 }
 
-void axpy_h(float* acc, float beta, const half_t* v, Index n) noexcept {
-  for (Index i = 0; i < n; ++i) acc[i] = acc[i] + beta * static_cast<float>(v[i]);
-}
+// --- fp16 conversions -------------------------------------------------
 
 void h2f(float* dst, const half_t* src, Index n) noexcept {
   for (Index i = 0; i < n; ++i) dst[i] = static_cast<float>(src[i]);
@@ -153,7 +156,27 @@ void f2h(half_t* dst, const float* src, Index n) noexcept {
 
 }  // namespace
 
-const VecOps kScalarOps = {dot,   axpby,  axpy,   scale,  reduce_max, reduce_sum,
-                           dot_h, dot_fh, axpby_h, axpy_h, h2f,        f2h};
+bool fold_tile_weights(float* s, Index n, float scale, const float* gate, bool use_gate,
+                       float& m, float& l, float& alpha) noexcept {
+  float m_new = m;
+  for (Index j = 0; j < n; ++j) {
+    s[j] = s[j] * scale;
+    if (use_gate) s[j] = s[j] * gate[j];
+    m_new = maxps(s[j], m_new);
+  }
+  if (m_new == -std::numeric_limits<float>::infinity()) return false;  // row still empty
+  alpha = std::exp(m - m_new);
+  float psum = 0.0f;
+  for (Index j = 0; j < n; ++j) {
+    s[j] = std::exp(s[j] - m_new);
+    psum += s[j];
+  }
+  l = l * alpha + psum;
+  m = m_new;
+  return true;
+}
+
+const VecOps kScalarOps = {dot,       axpy,        scale, reduce_max, reduce_sum,
+                           fold_tile, fold_tile_h, h2f,   f2h};
 
 }  // namespace gpa::simd::detail

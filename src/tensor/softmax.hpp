@@ -6,7 +6,7 @@
 //    masked-SDP baseline, and
 //  * the online (single-pass) normaliser of Milakov & Gimelshein that
 //    Algorithm 1 and FlashAttention build on: a running maximum `m` and
-//    running denominator `l` folded edge by edge.
+//    running denominator `l` folded a tile of scores at a time.
 
 #include <cmath>
 #include <limits>
@@ -27,46 +27,27 @@ namespace gpa {
 /// exp stays element-wise scalar (identical libm call on both arms).
 void softmax_rows(Matrix<float>& scores, SimdLevel level = SimdLevel::Auto);
 
-/// Online softmax accumulator for a single output row: the (m, l, acc)
-/// triple of Algorithm 1, with the accumulator kept unnormalised until
-/// `finish` (algebraically identical to the paper's per-step division).
+/// Online softmax state of a single output row: the running max m and
+/// denominator l of Algorithm 1; the (unnormalised) accumulator lives
+/// with the caller. Graph attention folds into it through
+/// detail::RowFold (core/kernel_common.hpp), flash attention through
+/// online_softmax_fold_tile below.
 struct OnlineSoftmaxRow {
   float m = -std::numeric_limits<float>::infinity();
   float l = 0.0f;
-
-  /// Folds one score in and returns the pair of rescaling coefficients
-  /// (alpha for the existing accumulator, beta for the incoming value
-  /// row): acc = alpha * acc + beta * V[j].
-  struct Coeffs {
-    float alpha;
-    float beta;
-  };
-  Coeffs push(float score) noexcept {
-    if (score == -std::numeric_limits<float>::infinity() &&
-        m == -std::numeric_limits<float>::infinity()) {
-      return {1.0f, 0.0f};  // avoid exp(-inf - -inf) = NaN on a still-empty row
-    }
-    const float m_new = score > m ? score : m;
-    const float alpha = std::exp(m - m_new);  // exp(-inf - m_new) == 0 handles the first edge
-    const float beta = std::exp(score - m_new);
-    l = l * alpha + beta;
-    m = m_new;
-    return {alpha, beta};
-  }
 
   /// Normaliser to apply to the accumulator at the end (0 for an empty
   /// row, which zeroes the output).
   float inv_l() const noexcept { return l > 0.0f ? 1.0f / l : 0.0f; }
 };
 
-/// Batched fold of one tile of `n` scores into an online-softmax row
-/// state — the vectorized form of n successive `push` calls with one max
-/// update. On return `scores[0..n)` holds the unnormalised tile
+/// Batched fold of one tile of `n` precomputed scores into an
+/// online-softmax row state, with one max update. On return `scores[0..n)` holds the unnormalised tile
 /// probabilities exp(s_j - m_new) and the returned alpha is the rescale
 /// coefficient for the caller's accumulator (1 when the running max did
 /// not move). A tile that leaves the row's maximum at -inf (fully
-/// masked so far) zeroes the probabilities and leaves (m, l) untouched,
-/// mirroring OnlineSoftmaxRow::push's empty-row guard.
+/// masked so far) zeroes the probabilities and leaves (m, l) untouched
+/// instead of computing exp(-inf − -inf) = NaN.
 float online_softmax_fold_tile(OnlineSoftmaxRow& osr, float* scores, Index n,
                                const simd::VecOps& vo) noexcept;
 

@@ -11,10 +11,14 @@
 
 #include "baselines/reference_attention.hpp"
 #include "common/rng.hpp"
+#include "core/composed.hpp"
 #include "core/graph_attention.hpp"
 #include "simd/simd.hpp"
 #include "sparse/build.hpp"
+#include "sparse/compose.hpp"
+#include "sparse/presets.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "tile_cases.hpp"
 
 namespace gpa {
 namespace {
@@ -274,6 +278,100 @@ TEST(KernelWeightedMask, MaskValuesScaleScores) {
   auto plain = build_csr_local(L, LocalParams{3});
   csr_attention(in.q, in.k, in.v, plain, expected, half_scale);
   EXPECT_TRUE(allclose(got, expected, 1e-6, 1e-7).all_close);
+}
+
+// --- Tile boundaries of the row fold -----------------------------------
+// The fold buffers simd::kTile edges per fold_tile call and flushes the
+// remainder at the end of each row's enumeration, so rows of degree 0,
+// 1, 15, 16, 17 and 33 put every tile-edge case in one mask.
+
+/// Double-precision oracle for a gated CSR row fold: softmax over the
+/// row's edges of scale·gate·(q·k), zero for an empty row.
+Matrix<float> gated_reference(const Inputs& in, const Csr<float>& mask, float scale) {
+  const Index L = in.q.rows(), d = in.q.cols();
+  Matrix<float> out(L, d);
+  for (Index i = 0; i < L; ++i) {
+    std::vector<double> w;
+    double mx = -INFINITY;
+    for (Index kk = mask.row_begin(i); kk < mask.row_end(i); ++kk) {
+      const Index j = mask.col_idx[static_cast<std::size_t>(kk)];
+      double dot = 0.0;
+      for (Index x = 0; x < d; ++x) dot += static_cast<double>(in.q(i, x)) * in.k(j, x);
+      w.push_back(dot * scale * mask.values[static_cast<std::size_t>(kk)]);
+      mx = std::max(mx, w.back());
+    }
+    double l = 0.0;
+    std::vector<double> acc(static_cast<std::size_t>(d), 0.0);
+    for (Index kk = mask.row_begin(i), t = 0; kk < mask.row_end(i); ++kk, ++t) {
+      const double p = std::exp(w[static_cast<std::size_t>(t)] - mx);
+      l += p;
+      const Index j = mask.col_idx[static_cast<std::size_t>(kk)];
+      for (Index x = 0; x < d; ++x) acc[static_cast<std::size_t>(x)] += p * in.v(j, x);
+    }
+    for (Index x = 0; x < d; ++x) {
+      out(i, x) = l > 0.0 ? static_cast<float>(acc[static_cast<std::size_t>(x)] / l) : 0.0f;
+    }
+  }
+  return out;
+}
+
+TEST(KernelTileBoundaries, LadderRowsMatchReferenceOnEveryArm) {
+  const Index L = 72;
+  const auto mask = test::tile_ladder_mask(L);
+  const auto coo = csr_to_coo(mask);
+  for (const Index d : {Index{16}, Index{64}, Index{67}}) {
+    const auto in = make_inputs(L, d, 130 + static_cast<std::uint64_t>(d));
+    const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+    Matrix<float> plain_ref(L, d);
+    baselines::reference_attention(in.q, in.k, in.v, mask, plain_ref);
+    const Matrix<float> gated_ref = gated_reference(in, mask, scale);
+    for (const SimdLevel level : simd_axis()) {
+      for (const bool gated : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "d=" << d << " level=" << simd::level_name(level)
+                                        << " gated=" << gated);
+        AttentionOptions opts;
+        opts.policy.simd = level;
+        opts.use_mask_values = gated;
+        Matrix<float> got(L, d), via_coo(L, d);
+        got.fill(7.0f);  // poison: empty rows must be written as zeros
+        csr_attention(in.q, in.k, in.v, mask, got, opts);
+        const auto rep = allclose(got, gated ? gated_ref : plain_ref, kRtol, kAtol);
+        EXPECT_TRUE(rep.all_close) << "max diff " << rep.max_abs_diff;
+        for (Index i = 0; i < L; i += static_cast<Index>(test::tile_ladder().size())) {
+          for (Index x = 0; x < d; ++x) ASSERT_EQ(got(i, x), 0.0f) << "empty row " << i;
+        }
+        // Same edges in the same order: the same tiles, bit for bit.
+        coo_attention(in.q, in.k, in.v, coo, via_coo, opts);
+        EXPECT_EQ(max_abs_diff(got, via_coo), 0.0);
+      }
+    }
+  }
+}
+
+TEST(KernelTileBoundaries, ComposedLongformerTileSpansLocalToGlobal) {
+  // reach 20: a causal row holds up to 21 local edges, so its second
+  // tile starts inside the local window and ends among the globals.
+  const Index L = 64, d = 32;
+  const ComposedMask lf = make_longformer(L, /*reach=*/20, /*num_global=*/3);
+  const auto in = make_inputs(L, d, 140);
+  for (const SimdLevel level : simd_axis()) {
+    for (const bool causal : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "level=" << simd::level_name(level)
+                                      << " causal=" << causal);
+      AttentionOptions opts;
+      opts.policy.simd = level;
+      opts.causal = causal;
+      Matrix<float> got(L, d), expected(L, d);
+      composed_attention(in.q, in.k, in.v, lf, got, opts);
+      const Csr<float> union_mask =
+          causal ? mask_intersect(lf.fused,
+                                  build_csr_from_predicate(L, [](Index i, Index j) { return j <= i; }))
+                 : lf.fused;
+      baselines::reference_attention(in.q, in.k, in.v, union_mask, expected);
+      const auto rep = allclose(got, expected, kRtol, kAtol);
+      EXPECT_TRUE(rep.all_close) << "max diff " << rep.max_abs_diff;
+    }
+  }
 }
 
 }  // namespace

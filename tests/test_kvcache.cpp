@@ -18,12 +18,15 @@
 #include "common/rng.hpp"
 #include "core/composed.hpp"
 #include "core/graph_attention.hpp"
+#include "core/kernel_common.hpp"
+#include "core/traversal.hpp"
 #include "kvcache/kvcache.hpp"
 #include "obs/metrics.hpp"
 #include "simd/simd.hpp"
 #include "sparse/build.hpp"
 #include "sparse/presets.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "tile_cases.hpp"
 
 namespace gpa::kvcache {
 namespace {
@@ -190,7 +193,9 @@ std::vector<IdentityCase> identity_cases(Index n) {
   {
     // Chained mask (longformer serving scenario): local ∘ global folds
     // both components' causal slices into one row state per decode
-    // step; the full arm is the equivalent two-kernel accumulate chain.
+    // step, as ONE enumeration; the full arm is the composed one-pass
+    // kernel driver over the same components (composed_attention's
+    // form), whose tiles span the component boundary the same way.
     const LocalParams lp{3};
     GlobalMinusLocalParams gp;
     gp.global.tokens = {0, 2, 7};
@@ -202,8 +207,9 @@ std::vector<IdentityCase> identity_cases(Index n) {
            AttentionOptions opts;
            opts.causal = true;
            SoftmaxState st(q.rows(), o.cols());
-           local_attention_accumulate(q, k, v, lp, st, opts);
-           global_attention_accumulate(q, k, v, gp, st, opts);
+           const std::vector<MaskTraversal> components{MaskTraversal::local(lp),
+                                                       MaskTraversal::global(gp)};
+           detail::run_rows(q, k, v, opts, st, components);
            st.finalize_into(o);
          }});
   }
@@ -851,6 +857,118 @@ TEST(Fp16Pages, DecodeMatchesFp32DecodeOverRoundTrippedInputsBitwise) {
       ASSERT_EQ(out16[static_cast<std::size_t>(p)], out32[static_cast<std::size_t>(p)])
           << "t=" << t << " col " << p;
     }
+  }
+}
+
+// --- Tile boundaries: decode folds the tiles the one-shot kernel folds --
+
+/// Streams q/k/v through one session — rows [0, prefill_len) as a
+/// prefill, the rest token by token — and returns every output row.
+Matrix<float> stream_session(const SessionManager::Config& mc, const MaskSpec& spec,
+                             const AttentionOptions& opts, const Matrix<float>& q,
+                             const Matrix<float>& k, const Matrix<float>& v, Index prefill_len) {
+  const Index n = q.rows(), d = q.cols();
+  SessionManager mgr(mc);
+  mgr.create(1, spec, opts);
+  Matrix<float> got(n, d);
+  if (prefill_len > 0) {
+    Matrix<float> qp(prefill_len, d), kp(prefill_len, d), vp(prefill_len, d), out;
+    for (Index i = 0; i < prefill_len; ++i) {
+      std::copy(q.row(i), q.row(i) + d, qp.row(i));
+      std::copy(k.row(i), k.row(i) + d, kp.row(i));
+      std::copy(v.row(i), v.row(i) + d, vp.row(i));
+    }
+    mgr.prefill(1, qp, kp, vp, out);
+    for (Index i = 0; i < prefill_len; ++i) std::copy(out.row(i), out.row(i) + d, got.row(i));
+  }
+  for (Index t = prefill_len; t < n; ++t) {
+    mgr.decode_step(1, q.row(t), k.row(t), v.row(t), got.row(t));
+  }
+  return got;
+}
+
+void expect_bitwise(const Matrix<float>& want, const Matrix<float>& got) {
+  for (Index i = 0; i < want.rows(); ++i) {
+    for (Index p = 0; p < want.cols(); ++p) {
+      ASSERT_EQ(got(i, p), want(i, p)) << "row " << i << " col " << p;
+    }
+  }
+}
+
+TEST(DecodeTileBoundaries, LadderRowsDecodeBitIdenticalToOneShot) {
+  // Rows of degree 0, 1, 15, 16, 17 and 33 (causal), gated and not,
+  // over page sizes that are not multiples of the 16-edge tile — so a
+  // tile's rows straddle pages — and with and without a prefill.
+  const Index n = 72;
+  auto mask = std::make_shared<const Csr<float>>(test::tile_ladder_mask(n));
+  for (const Index d : {Index{16}, Index{67}}) {
+    Rng rng(static_cast<std::uint64_t>(900 + d));
+    Matrix<float> q(n, d), k(n, d), v(n, d);
+    fill_uniform(q, rng);
+    fill_uniform(k, rng);
+    fill_uniform(v, rng);
+    for (const bool gated : {false, true}) {
+      AttentionOptions opts;
+      opts.causal = true;
+      opts.use_mask_values = gated;
+      Matrix<float> expected(n, d);
+      csr_attention(q, k, v, *mask, expected, opts);
+      for (const Index page_size : {Index{5}, Index{12}}) {
+        for (const Index prefill_len : {Index{0}, Index{20}}) {
+          SCOPED_TRACE(testing::Message() << "d=" << d << " gated=" << gated << " page_size="
+                                          << page_size << " prefill=" << prefill_len);
+          SessionManager::Config mc;
+          mc.pool = {page_size, d, n / page_size + 2};
+          expect_bitwise(expected,
+                         stream_session(mc, MaskSpec::make_csr(mask), opts, q, k, v, prefill_len));
+        }
+      }
+    }
+  }
+}
+
+TEST(DecodeTileBoundaries, ComposedLongformerTileSpanningLocalToGlobal) {
+  // reach 20: a causal row holds up to 21 local edges, so its second
+  // tile runs from inside the local window into the globals.
+  const Index n = 64, d = 24;
+  const ComposedMask lf = make_longformer(n, /*reach=*/20, /*num_global=*/3);
+  Rng rng(919);
+  Matrix<float> q(n, d), k(n, d), v(n, d);
+  fill_uniform(q, rng);
+  fill_uniform(k, rng);
+  fill_uniform(v, rng);
+  AttentionOptions opts;
+  opts.causal = true;
+  Matrix<float> expected(n, d);
+  composed_attention(q, k, v, lf, expected, opts);
+  SessionManager::Config mc;
+  mc.pool = {/*page_size=*/7, d, n / 7 + 2};
+  expect_bitwise(expected, stream_session(mc, MaskSpec::compose(lf), opts, q, k, v, 10));
+}
+
+TEST(DecodeTileBoundaries, Fp16PagesMatchRoundTrippedFp32OnLadderRows) {
+  const Index n = 72, d = 33;
+  auto mask = std::make_shared<const Csr<float>>(test::tile_ladder_mask(n));
+  Rng rng(929);
+  Matrix<float> q(n, d), k(n, d), v(n, d);
+  fill_uniform(q, rng);
+  fill_uniform(k, rng);
+  fill_uniform(v, rng);
+  const Matrix<float> k_rt = round_trip_fp16(k);
+  const Matrix<float> v_rt = round_trip_fp16(v);
+  for (const bool gated : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "gated=" << gated);
+    AttentionOptions opts;
+    opts.causal = true;
+    opts.use_mask_values = gated;
+    SessionManager::Config mc16;
+    mc16.pool = {/*page_size=*/5, d, n / 5 + 2};
+    mc16.pool.dtype = DType::F16;
+    SessionManager::Config mc32 = mc16;
+    mc32.pool.dtype = DType::F32;
+    const auto spec = MaskSpec::make_csr(mask);
+    expect_bitwise(stream_session(mc32, spec, opts, q, k_rt, v_rt, 0),
+                   stream_session(mc16, spec, opts, q, k, v, 0));
   }
 }
 

@@ -31,6 +31,7 @@
 #include "seqpar/sim_cluster.hpp"
 #include "sparse/build.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "tile_cases.hpp"
 
 namespace {
 
@@ -605,6 +606,35 @@ TEST(Cluster, RingPrefillBitIdenticalToSimCluster) {
       for (std::size_t p = 0; p < sim.nodes.size(); ++p) {
         EXPECT_EQ(rep.nodes[p].edges, sim.nodes[p].edges);
       }
+    }
+  }
+}
+
+TEST(Cluster, RingPrefillBitIdenticalToSimClusterWhereShardsCutATile) {
+  // Rows of degree 0, 1, 15, 16, 17 and 33 over three 24-column shards:
+  // the 16- and 33-edge rows split mid-tile, and each node flushes a
+  // tile at every shard end — as sim_cluster does, shard by shard.
+  const Index L = 72;
+  const auto mask = gpa::test::tile_ladder_mask(L);
+  const auto part = seqpar::partition_uniform_rows(L, 3, seqpar::degrees_of(mask));
+  ASSERT_EQ(part.boundaries, (std::vector<Index>{0, 24, 48, 72}));
+  for (const Index d : {Index{16}, Index{67}}) {
+    Rng rng(static_cast<std::uint64_t>(31 + d));
+    Matrix<float> q(L, d), k(L, d), v(L, d);
+    fill_uniform(q, rng);
+    fill_uniform(k, rng);
+    fill_uniform(v, rng);
+    for (const bool causal : {false, true}) {
+      LoopbackCluster cluster(3);
+      Matrix<float> wire_out;
+      cluster.client.ring_prefill(q, k, v, mask, part, causal, -1.0f, wire_out);
+      Matrix<float> oracle(L, d);
+      AttentionOptions opts;
+      opts.causal = causal;
+      seqpar::distributed_csr_attention(q, k, v, mask, part, oracle, opts);
+      ASSERT_EQ(std::memcmp(wire_out.data(), oracle.data(), oracle.size_bytes()), 0)
+          << "d=" << d << " causal=" << causal;
+      for (Index x = 0; x < d; ++x) EXPECT_EQ(wire_out(0, x), 0.0f);  // empty row 0
     }
   }
 }

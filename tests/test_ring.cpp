@@ -7,9 +7,11 @@
 #include "core/graph_attention.hpp"
 #include "seqpar/partition.hpp"
 #include "seqpar/ring_attention.hpp"
+#include "seqpar/sim_cluster.hpp"
 #include "sparse/build.hpp"
 #include "sparse/compose.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "tile_cases.hpp"
 
 namespace gpa::seqpar {
 namespace {
@@ -60,6 +62,50 @@ TEST(RingTest, MatchesPlainKernelBitwiseWithOneNode) {
   ring_csr_attention(in.q, in.k, in.v, mask, part, ring_out);
   csr_attention(in.q, in.k, in.v, mask, plain);
   EXPECT_EQ(max_abs_diff(ring_out, plain), 0.0);  // single shard: same fold order
+}
+
+TEST(RingTest, OneNodeMatchesPlainKernelBitwiseOnTileLadder) {
+  // Rows of degree 0, 1, 15, 16, 17 and 33: one shard is one
+  // enumeration per row, so the ring folds the plain kernel's tiles.
+  const Index L = 72;
+  const auto mask = gpa::test::tile_ladder_mask(L);
+  const auto part = partition_uniform_rows(L, 1, degrees_of(mask));
+  for (const Index d : {Index{16}, Index{67}}) {
+    const auto in = make_inputs(L, d, 1410 + static_cast<std::uint64_t>(d));
+    for (const bool causal : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "d=" << d << " causal=" << causal);
+      AttentionOptions opts;
+      opts.causal = causal;
+      Matrix<float> ring_out(L, d), plain(L, d);
+      ring_csr_attention(in.q, in.k, in.v, mask, part, ring_out, opts);
+      csr_attention(in.q, in.k, in.v, mask, plain, opts);
+      EXPECT_EQ(max_abs_diff(ring_out, plain), 0.0);
+      for (Index x = 0; x < d; ++x) EXPECT_EQ(ring_out(0, x), 0.0f);  // empty row 0
+    }
+  }
+}
+
+TEST(RingTest, FirstNodeMatchesSimClusterWhereShardsCutATile) {
+  // Three shards over 72 columns split the 16- and 33-edge ladder rows
+  // mid-tile (the wide ladder spreads every row over all columns).
+  // Node 0 visits shards in ascending order, exactly as sim_cluster
+  // folds every row (a tile flushes at each shard end), so node 0's
+  // rows must agree bit for bit.
+  const Index L = 72, d = 24;
+  const auto mask = gpa::test::tile_ladder_mask(L, /*lower=*/false);
+  const auto part = partition_uniform_rows(L, 3, degrees_of(mask));
+  ASSERT_EQ(part.boundaries, (std::vector<Index>{0, 24, 48, 72}));
+  const auto in = make_inputs(L, d, 1420);
+  Matrix<float> ring_out(L, d), sim(L, d);
+  ring_csr_attention(in.q, in.k, in.v, mask, part, ring_out);
+  distributed_csr_attention(in.q, in.k, in.v, mask, part, sim);
+  for (Index i = part.boundaries[0]; i < part.boundaries[1]; ++i) {
+    for (Index x = 0; x < d; ++x) ASSERT_EQ(ring_out(i, x), sim(i, x)) << "row " << i;
+  }
+  // Every node still matches the reference.
+  Matrix<float> expected(L, d);
+  gpa::baselines::reference_attention(in.q, in.k, in.v, mask, expected);
+  EXPECT_TRUE(gpa::allclose(ring_out, expected, 1e-5, 1e-6).all_close);
 }
 
 TEST(RingTest, CausalSupport) {

@@ -8,6 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <utility>
+#include <vector>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -421,6 +424,36 @@ TEST(ServeStats, FunnelAndOccupancyInvariants) {
   EXPECT_LE(s.latency_ms.p95, s.latency_ms.p99);
   EXPECT_LE(s.latency_ms.p99, s.latency_ms.max);
   EXPECT_GE(s.mean_batch_occupancy, 1.0);
+}
+
+TEST(ServeStats, LatencyTailsWithinOneBucketOfExactPercentiles) {
+  // The latency series are log-linear histograms: fixed memory however
+  // many requests complete, each percentile at most one bucket
+  // (2^(1/16)) above the exact order statistic, the max exact.
+  ServerStats st;
+  std::vector<double> us;
+  Rng rng(23);
+  for (int i = 0; i < 20000; ++i) {
+    us.push_back(std::exp2(20.0 * rng.next_double()));  // 1 µs .. ~1 s, log-uniform
+    st.record_completion(us.back(), us.back() / 2.0);
+  }
+  std::sort(us.begin(), us.end());
+  const auto s = st.snapshot();
+  ASSERT_EQ(s.latency_ms.samples, us.size());
+  ASSERT_EQ(s.service_ms.samples, us.size());
+  EXPECT_EQ(s.latency_ms.max, us.back() / 1000.0);
+  const double bucket = std::exp2(1.0 / 16.0);
+  const std::pair<double, double> tails[] = {
+      {50.0, s.latency_ms.p50}, {95.0, s.latency_ms.p95}, {99.0, s.latency_ms.p99}};
+  for (const auto& [pct, got] : tails) {
+    const auto rank =
+        static_cast<std::size_t>(std::ceil(pct / 100.0 * static_cast<double>(us.size())));
+    const double exact_ms = us[rank - 1] / 1000.0;
+    EXPECT_GE(got, exact_ms) << "p" << pct;
+    EXPECT_LE(got, exact_ms * bucket) << "p" << pct;
+  }
+  EXPECT_LE(s.service_ms.p99, s.service_ms.max);
+  EXPECT_EQ(s.service_ms.max, us.back() / 2000.0);
 }
 
 TEST(ServeStats, PreallocatedOutputRoundTripsWithoutRealloc) {

@@ -18,9 +18,11 @@
 //    most 2·gamma_n·Σ|p_i|. The harness computes that bound per CALL —
 //    per reduction length n and per input magnitude profile — plus a
 //    tiny absolute slack for the denormal floor where relative bounds
-//    vanish. Element-wise FMA updates (axpby) use the two-term analog
-//    2u·(|alpha·acc| + |beta·v|). reduce_max, scale, h2f, and f2h do
-//    no reassociated additions and stay BITWISE across all four arms.
+//    vanish. Element-wise FMA updates (axpy) use the two-term analog
+//    2u·(|acc| + |beta·v|). The tiled row fold (fold_tile) composes
+//    these with the vector exp's pinned ULP bound (fold_tile_bound).
+//    reduce_max, scale, h2f, and f2h do no reassociated additions and
+//    stay BITWISE across all four arms.
 //
 // Kernel-level differentials run the same sweep per class: bitwise arms
 // at ULP 0..2, relaxed arms under an empirical-but-stable kernel bound
@@ -34,6 +36,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "baselines/flash_attention.hpp"
@@ -91,10 +94,11 @@ constexpr std::int64_t kMaxUlp = 2;
 /// few ULP (bounded by the summation model over 2·d-term dots), exp()
 /// turns that into a matching relative error of each softmax weight,
 /// and the normalized output is a convex combination of O(1) V rows —
-/// so the observed distance stays in the tens of ULP across the whole
-/// sweep. 64 gives ~4× headroom over what the current arms measure;
-/// both arms are deterministic by construction, so the measurement is a
-/// property of the code, not the host.
+/// so the observed distance stays small across the whole sweep: the
+/// current arms, tiled fold and vector exp included, measure between
+/// 5 and 8 ULP. 64 leaves wide headroom; both arms are deterministic by
+/// construction, so the measurement is a property of the code, not the
+/// host.
 constexpr std::int64_t kRelaxedKernelUlp = 64;
 
 /// Unit roundoff of binary32 (2^-24).
@@ -200,13 +204,6 @@ TEST(SimdPrimitives, AllOpsBitwiseEqualAcrossLengthsAndMagnitudes) {
       EXPECT_EQ(ulp_diff(scalar.reduce_max(a.data(), n), avx2.reduce_max(a.data(), n)), 0);
 
       auto acc_s = b, acc_v = b;
-      scalar.axpby(acc_s.data(), 0.25f, 1.75f, a.data(), n);
-      avx2.axpby(acc_v.data(), 0.25f, 1.75f, a.data(), n);
-      for (Index i = 0; i < n; ++i) {
-        EXPECT_EQ(ulp_diff(acc_s[static_cast<std::size_t>(i)], acc_v[static_cast<std::size_t>(i)]), 0);
-      }
-      acc_s = b;
-      acc_v = b;
       scalar.axpy(acc_s.data(), -0.5f, a.data(), n);
       avx2.axpy(acc_v.data(), -0.5f, a.data(), n);
       scalar.scale(acc_s.data(), 3.0f, n);
@@ -224,8 +221,6 @@ TEST(SimdPrimitives, ReductionIdentitiesOnEmptyInput) {
     EXPECT_EQ(vo.dot(nullptr, nullptr, 0), 0.0f);
     EXPECT_EQ(vo.reduce_sum(nullptr, 0), 0.0f);
     EXPECT_EQ(vo.reduce_max(nullptr, 0), -kInf);
-    EXPECT_EQ(vo.dot_h(nullptr, nullptr, 0), 0.0f);
-    EXPECT_EQ(vo.dot_fh(nullptr, nullptr, 0), 0.0f);
   }
 }
 
@@ -264,35 +259,200 @@ std::vector<float> widen(const std::vector<half_t>& src) {
   return out;
 }
 
-TEST(SimdPrimitives, Fp16OpsBitwiseEqualAcrossBitwiseArms) {
+// --- The tiled row fold: fold_tile / fold_tile_h ----------------------
+
+std::vector<float> round_trip_half(const std::vector<float>& x) { return widen(narrow(x)); }
+
+/// One fold_tile call: n edges of width d and the row state they fold
+/// into. K/V values are fp16-representable when built with `halfable`,
+/// so the same case runs through fold_tile_h over the narrowed rows.
+struct TileCase {
+  Index n = 0;
+  Index d = 0;
+  std::vector<float> q, k, v, gate;  // k, v: n rows of d
+  float scale = 1.0f;
+  bool use_gate = false;
+  float m = -kInf;
+  float l = 0.0f;
+  std::vector<float> acc;
+};
+
+struct TileState {
+  float m;
+  float l;
+  std::vector<float> acc;
+};
+
+/// `prior` starts from a non-empty state (m, l, acc) instead of an
+/// empty row; `use_gate` draws gates from [0.5, 1.5).
+TileCase make_tile_case(Index n, Index d, std::uint64_t seed, float mul, bool prior,
+                        bool use_gate, bool halfable) {
+  TileCase c;
+  c.n = n;
+  c.d = d;
+  c.q = random_buffer(d, seed, mul);
+  c.k = random_buffer(n * d, seed + 1, mul);
+  c.v = random_buffer(n * d, seed + 2, 2.0f);
+  if (halfable) {
+    c.k = round_trip_half(c.k);
+    c.v = round_trip_half(c.v);
+  }
+  c.gate = random_buffer(n, seed + 3, 1.0f);
+  for (float& g : c.gate) g += 1.0f;
+  c.scale = 1.0f / std::sqrt(static_cast<float>(d));
+  c.use_gate = use_gate;
+  c.acc.assign(static_cast<std::size_t>(d), 0.0f);
+  if (prior) {
+    c.m = 0.3f;
+    c.l = 2.5f;
+    c.acc = random_buffer(d, seed + 4, 3.0f);
+  }
+  return c;
+}
+
+std::vector<const float*> rows_of(const std::vector<float>& m, Index n, Index d) {
+  std::vector<const float*> rows(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j) rows[static_cast<std::size_t>(j)] = m.data() + j * d;
+  return rows;
+}
+
+TileState run_fold_tile(const simd::VecOps& vo, const TileCase& c) {
+  TileState st{c.m, c.l, c.acc};
+  const auto k = rows_of(c.k, c.n, c.d);
+  const auto v = rows_of(c.v, c.n, c.d);
+  vo.fold_tile(c.q.data(), k.data(), v.data(), c.gate.data(), c.n, c.d, c.scale, c.use_gate,
+               st.m, st.l, st.acc.data());
+  return st;
+}
+
+TileState run_fold_tile_h(const simd::VecOps& vo, const TileCase& c) {
+  std::vector<half_t> kh(c.k.size()), vh(c.v.size());
+  if (!kh.empty()) {
+    simd::ops(SimdLevel::Scalar).f2h(kh.data(), c.k.data(), static_cast<Index>(kh.size()));
+    simd::ops(SimdLevel::Scalar).f2h(vh.data(), c.v.data(), static_cast<Index>(vh.size()));
+  }
+  std::vector<const half_t*> k(static_cast<std::size_t>(c.n)), v(k.size());
+  for (Index j = 0; j < c.n; ++j) {
+    k[static_cast<std::size_t>(j)] = kh.data() + j * c.d;
+    v[static_cast<std::size_t>(j)] = vh.data() + j * c.d;
+  }
+  TileState st{c.m, c.l, c.acc};
+  vo.fold_tile_h(c.q.data(), k.data(), v.data(), c.gate.data(), c.n, c.d, c.scale, c.use_gate,
+                 st.m, st.l, st.acc.data());
+  return st;
+}
+
+/// Bitwise state equality (NaN == NaN: both arms must agree on where
+/// the ±inf conventions produce NaN, not on a payload).
+void expect_states_bitwise(const TileState& want, const TileState& got) {
+  EXPECT_EQ(ulp_diff(want.m, got.m), 0);
+  EXPECT_EQ(ulp_diff(want.l, got.l), 0);
+  for (std::size_t x = 0; x < want.acc.size(); ++x) {
+    ASSERT_EQ(ulp_diff(want.acc[x], got.acc[x]), 0) << "col " << x;
+  }
+}
+
+TEST(SimdFoldTile, BitwiseScalarVsAvx2AcrossTileAndHeadShapes) {
+  if (!avx2_arm_available()) GTEST_SKIP() << "AVX2 arm unavailable on this build/CPU";
+  const auto& scalar = simd::ops(SimdLevel::Scalar);
+  const auto& avx2 = simd::ops(SimdLevel::Avx2);
+  // Every tile size × every remainder-lane count, from an empty and a
+  // non-empty row state. 1e-40 drives products into the denormal
+  // range; 1e20 overflows the dots to ±inf (and inf − inf NaNs).
+  for (const float mul : {1.0f, 1e-40f, 1e20f}) {
+    for (Index n = 1; n <= simd::kTile; ++n) {
+      for (Index d = 1; d <= 67; ++d) {
+        for (const bool prior : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "mul=" << mul << " n=" << n << " d=" << d << " prior=" << prior);
+          const auto c = make_tile_case(n, d, 10000 + static_cast<std::uint64_t>(n * 100 + d),
+                                        mul, prior, /*use_gate=*/prior, /*halfable=*/false);
+          expect_states_bitwise(run_fold_tile(scalar, c), run_fold_tile(avx2, c));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdFoldTile, BitwiseScalarVsAvx2WithInfiniteGates) {
+  if (!avx2_arm_available()) GTEST_SKIP() << "AVX2 arm unavailable on this build/CPU";
+  const auto& scalar = simd::ops(SimdLevel::Scalar);
+  const auto& avx2 = simd::ops(SimdLevel::Avx2);
+  // ±inf gates turn scores into ±inf: masked edges (-inf weigh 0), a
+  // +inf that takes over the max (alpha = 0, inf − inf = NaN weights).
+  for (Index n = 1; n <= simd::kTile; ++n) {
+    for (const Index d : {Index{1}, Index{7}, Index{8}, Index{13}, Index{64}, Index{67}}) {
+      for (int pattern = 0; pattern < 3; ++pattern) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " d=" << d << " pattern=" << pattern);
+        auto c = make_tile_case(n, d, 20000 + static_cast<std::uint64_t>(n * 100 + d), 1.0f,
+                                pattern != 0, /*use_gate=*/true, /*halfable=*/false);
+        for (Index j = 0; j < n; ++j) {
+          if ((j + pattern) % 3 == 0) c.gate[static_cast<std::size_t>(j)] = -kInf;
+          if (pattern == 2 && j == n / 2) c.gate[static_cast<std::size_t>(j)] = kInf;
+        }
+        expect_states_bitwise(run_fold_tile(scalar, c), run_fold_tile(avx2, c));
+      }
+    }
+  }
+}
+
+TEST(SimdFoldTile, HalfRowsMatchWidenedRowsOnEveryArm) {
+  // fold_tile_h widens on load (exactly), so it must give the same bits
+  // as fold_tile over the widened rows — on every arm, relaxed included.
+  for (const SimdLevel level : simd::available_levels()) {
+    const auto& vo = simd::ops(level);
+    for (const float mul : {1.0f, 1e-6f, 8.0f}) {
+      for (Index n = 1; n <= simd::kTile; ++n) {
+        for (Index d = 1; d <= 67; ++d) {
+          SCOPED_TRACE(testing::Message() << "level=" << simd::level_name(level)
+                                          << " mul=" << mul << " n=" << n << " d=" << d);
+          const auto c = make_tile_case(n, d, 30000 + static_cast<std::uint64_t>(n * 100 + d),
+                                        mul, n % 2 == 0, /*use_gate=*/n % 3 == 0,
+                                        /*halfable=*/true);
+          expect_states_bitwise(run_fold_tile(vo, c), run_fold_tile_h(vo, c));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdFoldTile, HalfRowsBitwiseScalarVsAvx2) {
   if (!avx2_arm_available()) GTEST_SKIP() << "AVX2 arm unavailable on this build/CPU";
   const auto& scalar = simd::ops(SimdLevel::Scalar);
   const auto& avx2 = simd::ops(SimdLevel::Avx2);
   // 1e-6 lands products in the half-denormal band, 8.0 keeps everything
-  // normal; widening is exact either way, so the lane contract carries
-  // the bitwise guarantee over to half storage unchanged.
+  // normal; widening is exact either way.
   for (const float mul : {1.0f, 1e-6f, 8.0f}) {
-    for (Index n = 0; n <= 67; ++n) {
-      const auto af = random_buffer(n, 2900 + static_cast<std::uint64_t>(n), mul);
-      const auto bf = random_buffer(n, 3900 + static_cast<std::uint64_t>(n), mul);
-      const auto ah = narrow(af);
-      const auto bh = narrow(bf);
-      SCOPED_TRACE(testing::Message() << "n=" << n << " mul=" << mul);
+    for (Index n = 1; n <= simd::kTile; ++n) {
+      for (Index d = 1; d <= 67; ++d) {
+        SCOPED_TRACE(testing::Message() << "mul=" << mul << " n=" << n << " d=" << d);
+        const auto c = make_tile_case(n, d, 40000 + static_cast<std::uint64_t>(n * 100 + d),
+                                      mul, n % 2 == 1, /*use_gate=*/false, /*halfable=*/true);
+        expect_states_bitwise(run_fold_tile_h(scalar, c), run_fold_tile_h(avx2, c));
+      }
+    }
+  }
+}
 
-      EXPECT_EQ(ulp_diff(scalar.dot_h(ah.data(), bh.data(), n), avx2.dot_h(ah.data(), bh.data(), n)),
-                0);
-      EXPECT_EQ(
-          ulp_diff(scalar.dot_fh(af.data(), bh.data(), n), avx2.dot_fh(af.data(), bh.data(), n)),
-          0);
-
-      auto acc_s = af, acc_v = af;
-      scalar.axpby_h(acc_s.data(), 0.25f, 1.75f, bh.data(), n);
-      avx2.axpby_h(acc_v.data(), 0.25f, 1.75f, bh.data(), n);
-      scalar.axpy_h(acc_s.data(), -0.5f, bh.data(), n);
-      avx2.axpy_h(acc_v.data(), -0.5f, bh.data(), n);
-      for (Index i = 0; i < n; ++i) {
-        EXPECT_EQ(
-            ulp_diff(acc_s[static_cast<std::size_t>(i)], acc_v[static_cast<std::size_t>(i)]), 0);
+TEST(SimdFoldTile, FullyMaskedTileLeavesStateUntouchedOnEveryArm) {
+  // All scores -inf (positive dots times a -inf gate): m' stays -inf,
+  // so the state — and the accumulator — must not move, on every arm.
+  for (const SimdLevel level : simd::available_levels()) {
+    const auto& vo = simd::ops(level);
+    for (Index n = 1; n <= simd::kTile; ++n) {
+      for (const Index d : {Index{1}, Index{9}, Index{64}, Index{67}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "level=" << simd::level_name(level) << " n=" << n << " d=" << d);
+        auto c = make_tile_case(n, d, 50000 + static_cast<std::uint64_t>(n), 1.0f, false,
+                                /*use_gate=*/true, /*halfable=*/true);
+        for (float& x : c.q) x = std::abs(x) + 0.25f;
+        for (float& x : c.k) x = std::abs(x) + 0.25f;
+        for (float& g : c.gate) g = -kInf;
+        for (const TileState& st : {run_fold_tile(vo, c), run_fold_tile_h(vo, c)}) {
+          EXPECT_EQ(st.m, -kInf);
+          EXPECT_EQ(st.l, 0.0f);
+          for (const float a : st.acc) ASSERT_EQ(a, 0.0f);
+        }
       }
     }
   }
@@ -354,9 +514,9 @@ double sum_bound(const float* x, Index n) {
   return 2.0 * static_cast<double>(n) * kU * mag + kDenormSlack;
 }
 
-/// Element-wise two-term analog for acc·alpha + beta·v: one fused vs
-/// two separate roundings differ by at most u·(|alpha·acc| + |beta·v|)
-/// each way.
+/// Element-wise two-term analog for acc·alpha + beta·v (axpy: alpha =
+/// 1): one fused vs two separate roundings differ by at most
+/// u·(|alpha·acc| + |beta·v|) each way.
 double fma_elem_bound(float acc, float alpha, float beta, float v) {
   return 2.0 * kU *
              (std::abs(static_cast<double>(acc) * alpha) +
@@ -396,15 +556,6 @@ TEST(SimdPrimitives, RelaxedArmsWithinDerivedBounds) {
         }
 
         auto acc_s = b, acc_v = b;
-        scalar.axpby(acc_s.data(), 0.25f, 1.75f, a.data(), n);
-        vo.axpby(acc_v.data(), 0.25f, 1.75f, a.data(), n);
-        for (Index i = 0; i < n; ++i) {
-          const auto k = static_cast<std::size_t>(i);
-          EXPECT_LE(std::abs(static_cast<double>(acc_v[k]) - static_cast<double>(acc_s[k])),
-                    fma_elem_bound(b[k], 0.25f, 1.75f, a[k]));
-        }
-        acc_s = b;
-        acc_v = b;
         scalar.axpy(acc_s.data(), -0.5f, a.data(), n);
         vo.axpy(acc_v.data(), -0.5f, a.data(), n);
         for (Index i = 0; i < n; ++i) {
@@ -412,31 +563,6 @@ TEST(SimdPrimitives, RelaxedArmsWithinDerivedBounds) {
           EXPECT_LE(std::abs(static_cast<double>(acc_v[k]) - static_cast<double>(acc_s[k])),
                     fma_elem_bound(b[k], 1.0f, -0.5f, a[k]));
         }
-      }
-    }
-    // fp16 ops: widening is exact, so the same dot bound applies over
-    // the widened values.
-    for (Index n = 0; n <= 67; ++n) {
-      SCOPED_TRACE(testing::Message() << "level=" << simd::level_name(level) << " fp16 n=" << n);
-      const auto af = random_buffer(n, 7900 + static_cast<std::uint64_t>(n), 4.0f);
-      const auto bf = random_buffer(n, 8900 + static_cast<std::uint64_t>(n), 4.0f);
-      const auto ah = narrow(af);
-      const auto bh = narrow(bf);
-      const auto aw = widen(ah);
-      const auto bw = widen(bh);
-      EXPECT_LE(std::abs(static_cast<double>(vo.dot_h(ah.data(), bh.data(), n)) -
-                         static_cast<double>(scalar.dot_h(ah.data(), bh.data(), n))),
-                dot_bound(aw.data(), bw.data(), n));
-      EXPECT_LE(std::abs(static_cast<double>(vo.dot_fh(af.data(), bh.data(), n)) -
-                         static_cast<double>(scalar.dot_fh(af.data(), bh.data(), n))),
-                dot_bound(af.data(), bw.data(), n));
-      auto acc_s = af, acc_v = af;
-      scalar.axpby_h(acc_s.data(), 0.25f, 1.75f, bh.data(), n);
-      vo.axpby_h(acc_v.data(), 0.25f, 1.75f, bh.data(), n);
-      for (Index i = 0; i < n; ++i) {
-        const auto k = static_cast<std::size_t>(i);
-        EXPECT_LE(std::abs(static_cast<double>(acc_v[k]) - static_cast<double>(acc_s[k])),
-                  fma_elem_bound(af[k], 0.25f, 1.75f, bw[k]));
       }
     }
   }
@@ -465,14 +591,206 @@ TEST(SimdPrimitives, RelaxedArmsAgreeOnDecisiveOverflow) {
   }
 }
 
+// --- Relaxed fold_tile: the vector exp and the derived tile bound -------
+
+/// Pinned ULP bound of the relaxed arms' vector exp against std::exp over
+/// [-104, 0] (SimdVectorExp below measures it on every call; both arms
+/// are deterministic, so this is a property of the polynomial).
+constexpr std::int64_t kVecExpUlp = 2;
+
+/// exp(x_j) for x_j <= 0 as the arm's fold_tile computes it: a 16-wide
+/// tile with q = e_0, k_j = x_j·e_0 (so s_j = x_j exactly), v_j = e_j,
+/// from the state (m = 0, l = 0, acc = 0) — m' = 0 and acc[j] = p_j
+/// exactly. Fewer than 16 values pad with 0.
+std::vector<float> exp_via_fold(const simd::VecOps& vo, const std::vector<float>& x) {
+  const Index n = static_cast<Index>(x.size());
+  const Index d = simd::kTile;
+  std::vector<float> q(static_cast<std::size_t>(d), 0.0f), k(static_cast<std::size_t>(n * d), 0.0f),
+      v(k.size(), 0.0f), gate(static_cast<std::size_t>(n), 1.0f);
+  q[0] = 1.0f;
+  for (Index j = 0; j < n; ++j) {
+    k[static_cast<std::size_t>(j * d)] = x[static_cast<std::size_t>(j)];
+    v[static_cast<std::size_t>(j * d + j)] = 1.0f;
+  }
+  const auto kr = rows_of(k, n, d);
+  const auto vr = rows_of(v, n, d);
+  float m = 0.0f, l = 0.0f;
+  std::vector<float> acc(static_cast<std::size_t>(d), 0.0f);
+  vo.fold_tile(q.data(), kr.data(), vr.data(), gate.data(), n, d, 1.0f, false, m, l, acc.data());
+  acc.resize(static_cast<std::size_t>(n));
+  return acc;
+}
+
+/// exp(x) through the accumulator rescale: state (m = x, l = 0,
+/// acc = [1]) folding one edge of score 0 gives m' = 0 and acc = α.
+float exp_via_alpha(const simd::VecOps& vo, float x) {
+  const float q = 1.0f, k = 0.0f, v = 0.0f, gate = 1.0f;
+  const float* kr = &k;
+  const float* vr = &v;
+  float m = x, l = 0.0f, acc = 1.0f;
+  vo.fold_tile(&q, &kr, &vr, &gate, 1, 1, 1.0f, false, m, l, &acc);
+  return acc;
+}
+
+TEST(SimdVectorExp, WithinPinnedUlpOfStdExpOnEveryArm) {
+  // Bitwise arms call std::exp itself (ULP 0); relaxed arms evaluate a
+  // vector polynomial, pinned at kVecExpUlp over the whole domain the
+  // fold feeds it: [-104, 0], where the bottom end underflows through
+  // the denormals to 0.
+  std::vector<float> xs;
+  for (int i = 0; i <= 200000; ++i) xs.push_back(-104.0f * static_cast<float>(i) / 200000.0f);
+  for (const float x : {-1e-30f, -1e-7f, -0.34657359f, -0.6931472f, -87.33655f, -88.0f,
+                        -100.0f, -103.27893f, -103.97208f, -104.0f}) {
+    xs.push_back(x);
+  }
+  for (const SimdLevel level : simd::available_levels()) {
+    const auto& vo = simd::ops(level);
+    const std::int64_t budget = simd::is_bitwise_level(level) ? 0 : kVecExpUlp;
+    std::int64_t worst = 0;
+    const auto tile = static_cast<std::size_t>(simd::kTile);
+    for (std::size_t i = 0; i < xs.size(); i += tile) {
+      const std::vector<float> chunk(
+          xs.begin() + static_cast<std::ptrdiff_t>(i),
+          xs.begin() + static_cast<std::ptrdiff_t>(std::min(xs.size(), i + tile)));
+      const auto got = exp_via_fold(vo, chunk);
+      for (std::size_t j = 0; j < chunk.size(); ++j) {
+        const std::int64_t e = ulp_diff(got[j], std::exp(chunk[j]));
+        worst = std::max(worst, e);
+        ASSERT_LE(e, budget) << simd::level_name(level) << " x=" << chunk[j];
+      }
+    }
+    for (const float x : {-0.5f, -20.0f, -90.0f, -103.5f}) {
+      EXPECT_LE(ulp_diff(exp_via_alpha(vo, x), std::exp(x)), budget)
+          << simd::level_name(level) << " alpha x=" << x;
+    }
+    // The exact points: exp(0) = 1, exp(-inf) = 0 (never a tiny
+    // positive), and everything below the binary32 underflow is 0.
+    const auto special = exp_via_fold(vo, {0.0f, -0.0f, -kInf, -104.0f, -200.0f, -1e30f});
+    EXPECT_EQ(special[0], 1.0f) << simd::level_name(level);
+    EXPECT_EQ(special[1], 1.0f) << simd::level_name(level);
+    for (std::size_t j = 2; j < special.size(); ++j) {
+      EXPECT_EQ(special[j], 0.0f) << simd::level_name(level) << " j=" << j;
+    }
+    EXPECT_EQ(exp_via_alpha(vo, -kInf), 0.0f) << simd::level_name(level);
+    RecordProperty(std::string("max_ulp_") + std::string(simd::level_name(level)),
+                   static_cast<int>(worst));
+  }
+}
+
+/// Derived bound on |relaxed − scalar| for each output of one fold_tile
+/// call. First-order model, per input:
+///  * score s_j: the dot bound (two summation orders, 2·d·u·Σ|q·k|)
+///    through scale and gate, plus one rounding per multiply per arm;
+///  * m': max is 1-Lipschitz, so dm = max_j ds_j;
+///  * weight p_j = exp(s_j − m'): argument error ds_j + dm plus the
+///    subtraction's rounding (u·|s_j − m'| per arm), turned relative by
+///    exp, plus the vector exp's pinned ULP bound (and libm's ½ ULP);
+///  * alpha = exp(m − m') likewise with dm alone;
+///  * l and acc[x]: the perturbed terms l·alpha (acc·alpha) and p_j·v_j,
+///    plus two summation orders over n + 1 terms.
+/// The total is doubled to cover second-order terms, and every bound
+/// carries the denormal floor.
+struct FoldBound {
+  double m = 0.0;
+  double l = 0.0;
+  std::vector<double> acc;
+};
+
+FoldBound fold_tile_bound(const TileCase& c) {
+  const auto n = static_cast<std::size_t>(c.n);
+  const double e_exp = static_cast<double>(kVecExpUlp + 1) * 2.0 * kU;
+  std::vector<double> s(n), ds(n);
+  double m_new = c.m;
+  double dm = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    double dot = 0.0, mag = 0.0;
+    for (Index x = 0; x < c.d; ++x) {
+      const double t = static_cast<double>(c.q[static_cast<std::size_t>(x)]) *
+                       c.k[j * static_cast<std::size_t>(c.d) + static_cast<std::size_t>(x)];
+      dot += t;
+      mag += std::abs(t);
+    }
+    const double g = c.use_gate ? c.gate[j] : 1.0;
+    s[j] = dot * c.scale * g;
+    ds[j] = (2.0 * static_cast<double>(c.d) * kU * mag * c.scale + kDenormSlack) * std::abs(g) +
+            4.0 * kU * std::abs(s[j]);
+    m_new = std::max(m_new, s[j]);
+    dm = std::max(dm, ds[j]);
+  }
+  const bool empty = c.m == -kInf;
+  const double alpha = empty ? 0.0 : std::exp(c.m - m_new);
+  const double dalpha =
+      empty ? 0.0 : alpha * (std::expm1(dm + 2.0 * kU * std::abs(c.m - m_new)) + e_exp);
+  std::vector<double> p(n), dp(n);
+  double psum = 0.0, dpsum = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    p[j] = std::exp(s[j] - m_new);
+    dp[j] = p[j] * (std::expm1(ds[j] + dm + 2.0 * kU * std::abs(s[j] - m_new)) + e_exp) +
+            kDenormSlack;
+    psum += p[j];
+    dpsum += dp[j];
+  }
+  const double terms = 2.0 * static_cast<double>(c.n + 1) * kU;
+  FoldBound b;
+  b.m = 2.0 * dm + kDenormSlack;
+  b.l = 2.0 * (c.l * dalpha + dpsum + terms * (c.l * alpha + psum)) + kDenormSlack;
+  b.acc.resize(static_cast<std::size_t>(c.d));
+  for (Index x = 0; x < c.d; ++x) {
+    const double a0 = std::abs(static_cast<double>(c.acc[static_cast<std::size_t>(x)]));
+    double pv = 0.0, dpv = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double vj = std::abs(
+          static_cast<double>(c.v[j * static_cast<std::size_t>(c.d) + static_cast<std::size_t>(x)]));
+      pv += p[j] * vj;
+      dpv += dp[j] * vj;
+    }
+    b.acc[static_cast<std::size_t>(x)] =
+        2.0 * (a0 * dalpha + dpv + terms * (a0 * alpha + pv)) + kDenormSlack;
+  }
+  return b;
+}
+
+TEST(SimdFoldTile, RelaxedArmsWithinDerivedBound) {
+  if (relaxed_levels().empty()) GTEST_SKIP() << "no relaxed arm on this build/CPU";
+  const auto& scalar = simd::ops(SimdLevel::Scalar);
+  for (const SimdLevel level : relaxed_levels()) {
+    const auto& vo = simd::ops(level);
+    for (const float mul : {1.0f, 4.0f}) {
+      for (Index n = 1; n <= simd::kTile; ++n) {
+        for (Index d = 1; d <= 67; ++d) {
+          for (const bool prior : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "level=" << simd::level_name(level) << " mul="
+                                            << mul << " n=" << n << " d=" << d
+                                            << " prior=" << prior);
+            const auto c =
+                make_tile_case(n, d, 60000 + static_cast<std::uint64_t>(n * 100 + d), mul,
+                               prior, /*use_gate=*/prior, /*halfable=*/false);
+            const TileState want = run_fold_tile(scalar, c);
+            const TileState got = run_fold_tile(vo, c);
+            const FoldBound b = fold_tile_bound(c);
+            EXPECT_LE(std::abs(static_cast<double>(got.m) - want.m), b.m);
+            EXPECT_LE(std::abs(static_cast<double>(got.l) - want.l), b.l);
+            for (Index x = 0; x < d; ++x) {
+              const auto i = static_cast<std::size_t>(x);
+              ASSERT_LE(std::abs(static_cast<double>(got.acc[i]) - want.acc[i]), b.acc[i])
+                  << "col " << x;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- fp16 fold parity: half pages vs the scalar-convert reference ------
 
 TEST(SimdFp16Fold, MatchesScalarConvertReferenceAcrossArms) {
-  // The decode path folds fp16 K/V pages via fold_edge_rows_fh. The
+  // The decode path folds fp16 K/V pages through RowFold<half_t>. The
   // reference widens the SAME half payloads back to fp32 (exact) and
-  // runs the plain float fold on the scalar arm: bitwise arms must
-  // reproduce it bit-for-bit (the lane contract runs over identical
-  // widened values); relaxed arms stay inside the kernel ULP budget.
+  // runs the float row fold on the scalar arm: bitwise arms must
+  // reproduce it bit-for-bit; relaxed arms stay inside the kernel ULP
+  // budget — and on EVERY arm the half fold equals that arm's own float
+  // fold over the widened rows. 20 edges: one full tile and a partial.
   const Index kEdges = 20;
   for (const Index d : {Index{1}, Index{7}, Index{16}, Index{33}, Index{64}, Index{67}}) {
     SCOPED_TRACE(testing::Message() << "d=" << d);
@@ -487,34 +805,39 @@ TEST(SimdFp16Fold, MatchesScalarConvertReferenceAcrossArms) {
       scalar_ops.f2h(kh.data() + static_cast<std::size_t>(j * d), in.k.row(j), d);
       scalar_ops.f2h(vh.data() + static_cast<std::size_t>(j * d), in.v.row(j), d);
     }
-    // Reference: exact widening, then the float fold on the scalar arm.
+    // Reference: exact widening, then the float fold.
     Matrix<float> kw(kEdges, d), vw(kEdges, d);
     for (Index j = 0; j < kEdges; ++j) {
       scalar_ops.h2f(kw.row(j), kh.data() + static_cast<std::size_t>(j * d), d);
       scalar_ops.h2f(vw.row(j), vh.data() + static_cast<std::size_t>(j * d), d);
     }
-    std::vector<float> acc_ref(static_cast<std::size_t>(d), 0.0f);
-    OnlineSoftmaxRow osr_ref;
-    for (Index j = 0; j < kEdges; ++j) {
-      detail::fold_edge_rows(in.q.row(0), kw.row(j), vw.row(j), d, scale, 1.0f, false, osr_ref,
-                             acc_ref.data(), scalar_ops);
-    }
+    auto fold_float = [&](const simd::VecOps& vo) {
+      TileState st{-kInf, 0.0f, std::vector<float>(static_cast<std::size_t>(d), 0.0f)};
+      detail::RowFold<float> fold(vo, in.q.row(0), d, scale, false, st.m, st.l, st.acc.data());
+      for (Index j = 0; j < kEdges; ++j) fold.add(kw.row(j), vw.row(j), 1.0f);
+      fold.finish();
+      return st;
+    };
+    const TileState ref = fold_float(scalar_ops);
 
     for (const SimdLevel level : simd::available_levels()) {
       SCOPED_TRACE(testing::Message() << "level=" << simd::level_name(level));
       const auto& vo = simd::ops(level);
-      std::vector<float> acc(static_cast<std::size_t>(d), 0.0f);
-      OnlineSoftmaxRow osr;
+      TileState got{-kInf, 0.0f, std::vector<float>(static_cast<std::size_t>(d), 0.0f)};
+      detail::RowFold<half_t> fold(vo, in.q.row(0), d, scale, false, got.m, got.l,
+                                   got.acc.data());
       for (Index j = 0; j < kEdges; ++j) {
-        detail::fold_edge_rows_fh(in.q.row(0), kh.data() + static_cast<std::size_t>(j * d),
-                                  vh.data() + static_cast<std::size_t>(j * d), d, scale, 1.0f,
-                                  false, osr, acc.data(), vo);
+        fold.add(kh.data() + static_cast<std::size_t>(j * d),
+                 vh.data() + static_cast<std::size_t>(j * d), 1.0f);
       }
+      fold.finish();
+      expect_states_bitwise(fold_float(vo), got);
+
       const std::int64_t budget = simd::is_bitwise_level(level) ? 0 : kRelaxedKernelUlp;
-      EXPECT_LE(ulp_diff(osr.m, osr_ref.m), budget);
-      EXPECT_LE(ulp_diff(osr.l, osr_ref.l), budget);
+      EXPECT_LE(ulp_diff(got.m, ref.m), budget);
+      EXPECT_LE(ulp_diff(got.l, ref.l), budget);
       for (Index i = 0; i < d; ++i) {
-        ASSERT_LE(ulp_diff(acc[static_cast<std::size_t>(i)], acc_ref[static_cast<std::size_t>(i)]),
+        ASSERT_LE(ulp_diff(got.acc[static_cast<std::size_t>(i)], ref.acc[static_cast<std::size_t>(i)]),
                   budget)
             << "col " << i;
       }
@@ -816,8 +1139,18 @@ TEST(SimdDispatch, ResolveClampsToAvailability) {
 TEST(SimdDispatch, ParityClassesAndLevelEnumeration) {
   EXPECT_TRUE(simd::is_bitwise_level(SimdLevel::Scalar));
   EXPECT_TRUE(simd::is_bitwise_level(SimdLevel::Avx2));
-  EXPECT_FALSE(simd::is_bitwise_level(SimdLevel::Avx2Fma));
-  EXPECT_FALSE(simd::is_bitwise_level(SimdLevel::Avx512));
+  // The relaxed arms are relaxed wherever they run. A build or CPU
+  // without one clamps the request down (resolve), and the request is
+  // then classified by the arm that actually runs — bitwise scalar on a
+  // SIMD-off build.
+  for (const SimdLevel l : {SimdLevel::Avx2Fma, SimdLevel::Avx512}) {
+    const SimdLevel runs = simd::resolve(l);
+    if (runs == l) {
+      EXPECT_FALSE(simd::is_bitwise_level(l)) << simd::level_name(l);
+    } else {
+      EXPECT_EQ(simd::is_bitwise_level(l), simd::is_bitwise_level(runs)) << simd::level_name(l);
+    }
+  }
 
   const auto avail = simd::available_levels();
   ASSERT_FALSE(avail.empty());

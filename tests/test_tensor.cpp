@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "tensor/gemm.hpp"
@@ -182,14 +183,22 @@ TEST(SoftmaxTest, FullyMaskedRowBecomesZeros) {
   for (Index j = 0; j < 4; ++j) EXPECT_EQ(s(0, j), 0.0f);
 }
 
+/// Folds `n` scores into `osr` as one tile and returns the tile's
+/// unnormalised weights (a scalar value of 1 per entry).
+float fold_scores(OnlineSoftmaxRow& osr, std::vector<float> scores, float& acc) {
+  const float alpha = online_softmax_fold_tile(osr, scores.data(), static_cast<Index>(scores.size()),
+                                               simd::ops(SimdLevel::Scalar));
+  float p_sum = 0.0f;
+  for (const float p : scores) p_sum += p;
+  acc = acc * alpha + p_sum;
+  return alpha;
+}
+
 TEST(OnlineSoftmaxTest, MatchesTwoPassSoftmax) {
   const float scores[] = {0.3f, -1.2f, 2.5f, 0.0f, 1.1f};
   OnlineSoftmaxRow osr;
   float acc = 0.0f;  // accumulate a scalar "value" of 1 per entry -> acc == l
-  for (const float w : scores) {
-    const auto [alpha, beta] = osr.push(w);
-    acc = acc * alpha + beta * 1.0f;
-  }
+  for (const float w : scores) fold_scores(osr, {w}, acc);  // one-score tiles
   // Two-pass.
   float m = -std::numeric_limits<float>::infinity();
   for (const float w : scores) m = std::max(m, w);
@@ -207,24 +216,21 @@ TEST(OnlineSoftmaxTest, EmptyRowYieldsZeroNormaliser) {
 
 TEST(OnlineSoftmaxTest, NegInfScoreOnEmptyRowIsIgnored) {
   OnlineSoftmaxRow osr;
-  const auto [alpha, beta] = osr.push(-std::numeric_limits<float>::infinity());
-  EXPECT_EQ(alpha, 1.0f);
-  EXPECT_EQ(beta, 0.0f);
+  float acc = 0.0f;
+  EXPECT_EQ(fold_scores(osr, {-std::numeric_limits<float>::infinity()}, acc), 1.0f);
+  EXPECT_EQ(acc, 0.0f);
   EXPECT_EQ(osr.l, 0.0f);
 }
 
 TEST(OnlineSoftmaxTest, MergeAgreesWithSequentialFold) {
-  const float part1[] = {0.5f, 1.5f};
-  const float part2[] = {2.5f, -0.5f, 0.1f};
+  const std::vector<float> part1 = {0.5f, 1.5f};
+  const std::vector<float> part2 = {2.5f, -0.5f, 0.1f};
   OnlineSoftmaxRow a, b, whole;
-  for (const float w : part1) {
-    a.push(w);
-    whole.push(w);
-  }
-  for (const float w : part2) {
-    b.push(w);
-    whole.push(w);
-  }
+  float acc_a = 0.0f, acc_b = 0.0f, acc_whole = 0.0f;
+  fold_scores(a, part1, acc_a);
+  fold_scores(whole, part1, acc_whole);
+  fold_scores(b, part2, acc_b);
+  fold_scores(whole, part2, acc_whole);
   const MergedState ms = merge_online_states(a.m, a.l, b.m, b.l);
   EXPECT_NEAR(ms.m, whole.m, 1e-6f);
   EXPECT_NEAR(ms.l, whole.l, 1e-5f);
