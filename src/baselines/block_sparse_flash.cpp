@@ -46,7 +46,8 @@ void block_sparse_flash_attention(const Matrix<T>& q, const Matrix<T>& k, const 
 
   // Dense view of the mask for the in-block invalidation step (the
   // comparators carry a block-local mask as well).
-  parallel_for_chunks(0, L, opts.policy, [&](Index row_lo, Index row_hi) {
+  const std::int64_t work = static_cast<std::int64_t>(occ.live_blocks) * bs * bs * d;
+  parallel_for_chunks(0, L, opts.policy, work, [&](Index row_lo, Index row_hi) {
     std::vector<float> s_tile(static_cast<std::size_t>(bs));
     std::vector<float> acc(static_cast<std::size_t>(d));
     std::vector<std::uint8_t> mask_row(static_cast<std::size_t>(L));

@@ -25,7 +25,8 @@ void flash_attention(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
   const Index bc = cfg.tile_cols;
   const simd::VecOps& vo = simd::ops(opts.policy.simd);
 
-  parallel_for_chunks(0, L, opts.policy, [&](Index row_lo, Index row_hi) {
+  const std::int64_t work = (opts.causal ? L * (L + 1) / 2 : L * L) * d;
+  parallel_for_chunks(0, L, opts.policy, work, [&](Index row_lo, Index row_hi) {
     // Per-worker scratch: one tile of scores for one query row.
     std::vector<float> s_tile(static_cast<std::size_t>(bc));
     std::vector<float> acc(static_cast<std::size_t>(d));

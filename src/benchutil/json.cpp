@@ -101,14 +101,15 @@ void write_schedule_bench_json(const std::string& path,
   std::ofstream out(path);
   GPA_CHECK(out.good(), "cannot open JSON output file: " + path);
   out << "{\n"
-      << "  \"schema\": \"gpa-bench-schedule/v2\",\n"
+      << "  \"schema\": \"gpa-bench-schedule/v3\",\n"
       << "  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto& r = records[i];
     out << "    {\"backend\": \"" << escape(r.backend) << "\", \"kernel\": \""
         << escape(r.kernel) << "\", \"schedule\": \"" << escape(r.schedule)
         << "\", \"grain\": " << r.grain << ", \"L\": " << r.seq_len
-        << ", \"hw_threads\": " << r.hw_threads << ", \"mean_s\": " << fmt(r.mean_s)
+        << ", \"threads\": " << r.threads << ", \"hw_threads\": " << r.hw_threads
+        << ", \"mean_s\": " << fmt(r.mean_s) << ", \"median_s\": " << fmt(r.median_s)
         << ", \"stddev_s\": " << fmt(r.stddev_s) << "}"
         << (i + 1 < records.size() ? "," : "") << "\n";
   }

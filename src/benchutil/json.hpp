@@ -97,16 +97,19 @@ struct ScheduleBenchRecord {
   std::string schedule;  ///< "static" / "dynamic"
   Index grain = 0;
   Index seq_len = 0;
+  int threads = 0;  ///< the cell's worker count (ExecPolicy::num_threads)
   /// Hardware threads of the recording host (see ServingBenchRecord:
   /// schedule ablations on a 1-core box measure dispatch overhead, not
   /// load balancing, and the record must say so).
   int hw_threads = 0;
   double mean_s = 0.0;
+  double median_s = 0.0;
   double stddev_s = 0.0;
 };
 
-/// Writes `{schema: "gpa-bench-schedule/v2", records}` (v2 renamed the
-/// per-record "threads" key to "hw_threads").
+/// Writes `{schema: "gpa-bench-schedule/v3", records}` (v2 renamed the
+/// per-record "threads" key to "hw_threads"; v3 adds the cell's own
+/// "threads" and "median_s").
 void write_schedule_bench_json(const std::string& path,
                                const std::vector<ScheduleBenchRecord>& records);
 

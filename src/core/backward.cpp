@@ -9,6 +9,7 @@
 #include "core/kernel_common.hpp"
 #include "core/state.hpp"
 #include "parallel/parallel_for.hpp"
+#include "sparse/nnz.hpp"
 #include "sparse/transpose.hpp"
 
 namespace gpa {
@@ -111,9 +112,10 @@ void csr_attention_backward(const Matrix<float>& q, const Matrix<float>& k,
   const float scale = detail::resolve_scale(opts.scale, d);
   grads.reset(L, d);
   const auto D = row_dots(dout, cache.out);
+  const std::int64_t work = static_cast<std::int64_t>(mask.nnz()) * d;
 
   // Phase A — row-parallel over queries: dQ_i = scale·Σ_j dS_ij·k_j.
-  parallel_for(0, L, opts.policy, [&](Index i) {
+  parallel_for(0, L, opts.policy, work, [&](Index i) {
     const float li = cache.l[static_cast<std::size_t>(i)];
     if (li <= 0.0f) return;  // empty row: zero gradient
     const float inv_l = 1.0f / li;
@@ -140,7 +142,7 @@ void csr_attention_backward(const Matrix<float>& q, const Matrix<float>& k,
   // Phase B — row-parallel over keys via the transposed mask:
   // dK_j = scale·Σ_i dS_ij·q_i,  dV_j = Σ_i P_ij·dO_i.
   const auto at = transpose_csr(mask);
-  parallel_for(0, L, opts.policy, [&](Index j) {
+  parallel_for(0, L, opts.policy, work, [&](Index j) {
     const float* kj = k.row(j);
     const float* vj = v.row(j);
     float* dkj = grads.dk.row(j);
@@ -179,9 +181,10 @@ void local_attention_backward(const Matrix<float>& q, const Matrix<float>& k,
   const float scale = detail::resolve_scale(opts.scale, d);
   grads.reset(L, d);
   const auto D = row_dots(dout, cache.out);
+  const std::int64_t work = static_cast<std::int64_t>(local_nnz(L, p)) * d;
 
   // Phase A — over queries (window neighbors of i, forward direction).
-  parallel_for(0, L, opts.policy, [&](Index i) {
+  parallel_for(0, L, opts.policy, work, [&](Index i) {
     const float li = cache.l[static_cast<std::size_t>(i)];
     if (li <= 0.0f) return;
     const float inv_l = 1.0f / li;
@@ -206,7 +209,7 @@ void local_attention_backward(const Matrix<float>& q, const Matrix<float>& k,
   // Phase B — over keys. The window is symmetric: i attends to j iff
   // |i-j| < w, so the queries seeing key j are the window around j
   // (clipped to i >= j under causal).
-  parallel_for(0, L, opts.policy, [&](Index j) {
+  parallel_for(0, L, opts.policy, work, [&](Index j) {
     const float* kj = k.row(j);
     const float* vj = v.row(j);
     float* dkj = grads.dk.row(j);

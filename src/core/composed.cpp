@@ -22,7 +22,7 @@ void composed_attention(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>&
   // sessions over a composed mask enumerate like this pass and match it
   // bit for bit.
   const std::vector<MaskTraversal> components = traversals_of(mask, /*owning=*/false);
-  detail::run_rows(q, k, v, opts, state, components);  // Auto resolves over summed degrees
+  detail::run_rows(q, k, v, opts, state, components);
   state.finalize_into(out);
 }
 

@@ -10,7 +10,7 @@ void coo_attention_accumulate(const Matrix<T>& q, const Matrix<T>& k, const Matr
                               const AttentionOptions& opts) {
   GPA_CHECK(mask.rows == q.rows() && mask.cols == k.rows(), "COO mask shape mismatch");
   const MaskTraversal tr = MaskTraversal::over(mask, opts.coo_search);
-  detail::run_rows(q, k, v, opts, state, tr);  // Schedule::Auto resolves from tr's skew stats
+  detail::run_rows(q, k, v, opts, state, tr);
 }
 
 template <typename T>

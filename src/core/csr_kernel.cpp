@@ -10,7 +10,7 @@ void csr_attention_accumulate(const Matrix<T>& q, const Matrix<T>& k, const Matr
                               const AttentionOptions& opts) {
   GPA_CHECK(mask.rows == q.rows() && mask.cols == k.rows(), "CSR mask shape mismatch");
   const MaskTraversal tr = MaskTraversal::over(mask);
-  detail::run_rows(q, k, v, opts, state, tr);  // Schedule::Auto resolves from tr's skew stats
+  detail::run_rows(q, k, v, opts, state, tr);
 }
 
 template <typename T>

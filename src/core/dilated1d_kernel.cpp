@@ -9,7 +9,7 @@ void dilated1d_attention_accumulate(const Matrix<T>& q, const Matrix<T>& k, cons
                                     const Dilated1DParams& p, SoftmaxState& state,
                                     const AttentionOptions& opts) {
   const MaskTraversal tr = MaskTraversal::dilated1d(p);  // validates (w, r)
-  detail::run_rows(q, k, v, opts, state, tr);  // Schedule::Auto resolves from tr's skew stats
+  detail::run_rows(q, k, v, opts, state, tr);
 }
 
 template <typename T>

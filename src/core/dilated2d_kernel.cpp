@@ -10,7 +10,7 @@ void dilated2d_attention_accumulate(const Matrix<T>& q, const Matrix<T>& k, cons
                                     const AttentionOptions& opts) {
   GPA_CHECK(p.seq_len == q.rows(), "Dilated2DParams.seq_len must equal the input length");
   const MaskTraversal tr = MaskTraversal::dilated2d(p);  // validates (L, b, r)
-  detail::run_rows(q, k, v, opts, state, tr);  // Schedule::Auto resolves from tr's skew stats
+  detail::run_rows(q, k, v, opts, state, tr);
 }
 
 template <typename T>

@@ -13,7 +13,7 @@ void global_attention_accumulate(const Matrix<T>& q, const Matrix<T>& k, const M
     GPA_CHECK(t >= 0 && t < seq_len, "global token index out of range");
   }
   const MaskTraversal tr = MaskTraversal::global(p);  // validates the window
-  detail::run_rows(q, k, v, opts, state, tr);  // Schedule::Auto resolves from tr's skew stats
+  detail::run_rows(q, k, v, opts, state, tr);
 }
 
 template <typename T>

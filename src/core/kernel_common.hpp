@@ -116,10 +116,12 @@ class RowFold {
 /// The row-parallel driver. `row_enum(i, edge)` must call
 /// `edge(j, gate)` for every neighbor j of row i (gate is the mask value
 /// for explicit formats, 1.0f otherwise); the whole call is one
-/// enumeration, folded by one RowFold.
+/// enumeration, folded by one RowFold. `work` is the call's estimated
+/// edges × head_dim, which the parallel substrate's work gate weighs.
 template <typename T, typename RowEnum>
 void run_rows(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
-              const AttentionOptions& opts, SoftmaxState& state, RowEnum&& row_enum) {
+              const AttentionOptions& opts, SoftmaxState& state, std::int64_t work,
+              RowEnum&& row_enum) {
   check_inputs(q, k, v, state);
   const Index seq_len = q.rows();
   const Index head_dim = q.cols();
@@ -127,7 +129,7 @@ void run_rows(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
   const bool use_gate = opts.use_mask_values;
   const simd::VecOps& vo = simd::ops(opts.policy.simd);  // resolved once per call
 
-  parallel_for(0, seq_len, opts.policy, [&](Index i) {
+  parallel_for(0, seq_len, opts.policy, work, [&](Index i) {
     const float* qi;
     if constexpr (std::is_same_v<T, float>) {
       qi = q.row(i);
@@ -144,30 +146,31 @@ void run_rows(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
   });
 }
 
-/// Traversal-driven driver: resolves Schedule::Auto from the mask's
-/// degree/skew statistics, then runs the generic row loop over the
-/// traversal's enumeration. Every kernel TU routes through this, so
-/// auto-tuned scheduling needs zero per-kernel code.
+/// Traversal-driven driver: weighs the call's work from the traversal's
+/// edge estimate, then runs the generic row loop over the traversal's
+/// enumeration. Every kernel TU routes through this, so the work gate
+/// needs zero per-kernel code.
 template <typename T>
 void run_rows(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
               const AttentionOptions& opts, SoftmaxState& state, const MaskTraversal& tr) {
-  AttentionOptions o = opts;
-  o.policy = tr.resolved_policy(opts.policy, q.rows(), opts.causal);
-  run_rows(q, k, v, o, state, traversal_rows(tr, q.rows(), opts.causal));
+  const std::int64_t work = gated_work(opts.policy, [&] {
+    return tr.approx_edges(q.rows(), opts.causal) * static_cast<Size>(q.cols());
+  });
+  run_rows(q, k, v, opts, state, work, traversal_rows(tr, q.rows(), opts.causal));
 }
 
 /// Composition form (composed_attention): one row-parallel pass folding
 /// every component per row as ONE enumeration (a tile may span a
-/// component boundary), schedule resolved over the components' summed
-/// degree profile.
+/// component boundary), its work summed over the components.
 template <typename T>
 void run_rows(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
               const AttentionOptions& opts, SoftmaxState& state,
               const std::vector<MaskTraversal>& components) {
-  AttentionOptions o = opts;
   const Index seq_len = q.rows();
-  o.policy = gpa::resolved_policy(opts.policy, components, seq_len, opts.causal);
-  run_rows(q, k, v, o, state, [&](Index i, auto&& edge) {
+  const std::int64_t work = gated_work(opts.policy, [&] {
+    return approx_edges(components, seq_len, opts.causal) * static_cast<Size>(q.cols());
+  });
+  run_rows(q, k, v, opts, state, work, [&](Index i, auto&& edge) {
     for (const MaskTraversal& tr : components) {
       tr.for_each_edge(i, seq_len, opts.causal, edge);
     }

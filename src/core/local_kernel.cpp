@@ -9,7 +9,7 @@ void local_attention_accumulate(const Matrix<T>& q, const Matrix<T>& k, const Ma
                                 const LocalParams& p, SoftmaxState& state,
                                 const AttentionOptions& opts) {
   const MaskTraversal tr = MaskTraversal::local(p);  // validates the window
-  detail::run_rows(q, k, v, opts, state, tr);  // Schedule::Auto resolves from tr's skew stats
+  detail::run_rows(q, k, v, opts, state, tr);
 }
 
 template <typename T>

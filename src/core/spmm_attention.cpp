@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "core/kernel_common.hpp"
-#include "core/traversal.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace gpa {
@@ -29,7 +28,7 @@ Csr<float> sddmm(const Matrix<T>& q, const Matrix<T>& k, const Csr<float>& mask,
   // bit-identical); half storage keeps the scalar convert loop.
   const simd::VecOps& vo = simd::ops(policy.simd);
 
-  parallel_for(0, mask.rows, policy, [&](Index i) {
+  parallel_for(0, mask.rows, policy, static_cast<std::int64_t>(mask.nnz()) * d, [&](Index i) {
     const T* qi = q.row(i);
     const Index e = mask.row_end(i);
     for (Index kk = mask.row_begin(i); kk < e; ++kk) {
@@ -56,7 +55,8 @@ void csr_row_softmax(Csr<float>& scores, const ExecPolicy& policy) {
   // is no vector exp in the arms, and a polynomial one would break the
   // bit-identity story.
   const simd::VecOps& vo = simd::ops(policy.simd);
-  parallel_for(0, scores.rows, policy, [&](Index i) {
+  // One exp per edge: the work is the edge count.
+  parallel_for(0, scores.rows, policy, static_cast<std::int64_t>(scores.nnz()), [&](Index i) {
     const Index b = scores.row_begin(i);
     const Index e = scores.row_end(i);
     if (b == e) return;
@@ -78,7 +78,7 @@ void spmm(const Csr<float>& s, const Matrix<T>& v, Matrix<T>& out, const ExecPol
   // float storage (same lane contract, so scalar and AVX2 dispatch stay
   // bit-identical); half keeps the scalar convert-and-accumulate loop.
   const simd::VecOps& vo = simd::ops(policy.simd);
-  parallel_for(0, s.rows, policy, [&](Index i) {
+  parallel_for(0, s.rows, policy, static_cast<std::int64_t>(s.nnz()) * d, [&](Index i) {
     // Accumulate in float even for half storage.
     std::vector<float> acc(static_cast<std::size_t>(d), 0.0f);
     const Index e = s.row_end(i);
@@ -102,13 +102,9 @@ template <typename T>
 void spmm_attention(const Matrix<T>& q, const Matrix<T>& k, const Matrix<T>& v,
                     const Csr<float>& mask, Matrix<T>& out, const AttentionOptions& opts) {
   const float scale = detail::resolve_scale(opts.scale, q.cols());
-  // All three stages iterate the same mask rows, so one Auto resolution
-  // against the mask's skew profile serves the whole pipeline.
-  const ExecPolicy policy =
-      MaskTraversal::over(mask).resolved_policy(opts.policy, mask.rows, /*causal=*/false);
-  Csr<float> s = sddmm(q, k, mask, scale, policy);
-  csr_row_softmax(s, policy);
-  spmm(s, v, out, policy);
+  Csr<float> s = sddmm(q, k, mask, scale, opts.policy);
+  csr_row_softmax(s, opts.policy);
+  spmm(s, v, out, opts.policy);
 }
 
 template Csr<float> sddmm(const Matrix<float>&, const Matrix<float>&, const Csr<float>&, float,

@@ -4,7 +4,7 @@
 
 #include "common/fnv1a.hpp"
 #include "core/batched.hpp"
-#include "parallel/auto_tune.hpp"
+#include "sparse/nnz.hpp"
 #include "sparse/presets.hpp"
 
 namespace gpa {
@@ -81,27 +81,30 @@ std::vector<Index> MaskTraversal::degrees(Index seq_len, bool causal) const {
   return d;
 }
 
+Size MaskTraversal::approx_edges(Index seq_len, bool causal) const {
+  const auto scaled = [seq_len](Size nnz, Index rows) {
+    return rows > 0 ? nnz * static_cast<Size>(seq_len) / static_cast<Size>(rows) : Size{0};
+  };
+  Size nnz = 0;
+  switch (kind_) {
+    case Kind::Csr: nnz = scaled(csr_->nnz(), csr_->rows); break;
+    case Kind::Coo: nnz = scaled(coo_->nnz(), coo_->rows); break;
+    case Kind::Local: nnz = local_nnz(seq_len, local_); break;
+    case Kind::Dilated1d: nnz = dilated1d_nnz(seq_len, dilated_); break;
+    case Kind::Dilated2d: nnz = scaled(dilated2d_nnz(dilated2_), dilated2_.seq_len); break;
+    case Kind::Global: nnz = global_minus_local_nnz(seq_len, global_); break;
+  }
+  return causal ? (nnz + static_cast<Size>(seq_len)) / 2 : nnz;
+}
+
+Size approx_edges(const std::vector<MaskTraversal>& components, Index seq_len, bool causal) {
+  Size edges = 0;
+  for (const MaskTraversal& tr : components) edges += tr.approx_edges(seq_len, causal);
+  return edges;
+}
+
 DegreeStats MaskTraversal::stats(Index seq_len, bool causal) const {
   return degree_stats(degrees(seq_len, causal));
-}
-
-ExecPolicy MaskTraversal::resolved_policy(const ExecPolicy& p, Index seq_len,
-                                          bool causal) const {
-  if (p.schedule != Schedule::Auto) return p;
-  const DegreeStats st = stats(seq_len, causal);
-  return auto_tune(p, st.mean, st.imbalance);
-}
-
-ExecPolicy resolved_policy(const ExecPolicy& p, const std::vector<MaskTraversal>& components,
-                           Index seq_len, bool causal) {
-  if (p.schedule != Schedule::Auto) return p;
-  std::vector<Index> sum(static_cast<std::size_t>(seq_len), 0);
-  for (const MaskTraversal& tr : components) {
-    const std::vector<Index> d = tr.degrees(seq_len, causal);
-    for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += d[i];
-  }
-  const DegreeStats st = degree_stats(sum);
-  return auto_tune(p, st.mean, st.imbalance);
 }
 
 std::uint64_t MaskTraversal::fingerprint() const {

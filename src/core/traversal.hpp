@@ -249,19 +249,20 @@ class MaskTraversal {
     return n;
   }
 
+  /// O(1) estimate of the edges one kernel call over seq_len rows
+  /// folds — the work the parallel gate weighs (parallel_for.hpp).
+  /// Explicit formats give their nnz scaled to seq_len rows, implicit
+  /// families the closed forms of sparse/nnz.hpp; a causal call keeps
+  /// about half, (nnz + seq_len) / 2, exact for symmetric masks with a
+  /// full diagonal.
+  Size approx_edges(Index seq_len, bool causal) const;
+
   /// Per-row degrees over a sequence — feed to degree_stats() for the
-  /// min/mean/max/imbalance skew profile that picks schedule defaults.
+  /// min/mean/max/imbalance skew profile (§V-C).
   std::vector<Index> degrees(Index seq_len, bool causal = false) const;
 
   /// Degree statistics (skew profile) of the traversal at seq_len.
   DegreeStats stats(Index seq_len, bool causal = false) const;
-
-  /// Resolve a Schedule::Auto policy from this traversal's skew profile
-  /// at seq_len (see parallel/auto_tune.hpp for the decision rule);
-  /// non-Auto policies pass through untouched. The stats sweep is one
-  /// edge count — O(nnz) with no flops, ~1/head_dim of the kernel's
-  /// fold work — paid only when auto-tuning was requested.
-  ExecPolicy resolved_policy(const ExecPolicy& p, Index seq_len, bool causal) const;
 
   /// Structural fingerprint: two traversals fingerprint equally iff
   /// they enumerate the same (row → column sequence) map. Explicit
@@ -292,11 +293,8 @@ class MaskTraversal {
 /// views them otherwise (single kernel call).
 std::vector<MaskTraversal> traversals_of(const ComposedMask& mask, bool owning = false);
 
-/// Auto-tuning over a composition: the per-row work of a composed mask
-/// is the sum of its components' degrees, so the skew profile (and the
-/// schedule it picks) is computed over that sum.
-ExecPolicy resolved_policy(const ExecPolicy& p, const std::vector<MaskTraversal>& components,
-                           Index seq_len, bool causal);
+/// Edge estimate of a composition: the sum of its components'.
+Size approx_edges(const std::vector<MaskTraversal>& components, Index seq_len, bool causal);
 
 namespace detail {
 

@@ -298,7 +298,10 @@ void SessionManager::prefill(std::uint64_t id, const Matrix<float>& q, const Mat
   SoftmaxState state(L, d);
   AttentionOptions opts = s->opts;
   opts.causal = true;  // sessions are autoregressive by construction
-  detail::run_rows(q, k, v, opts, state, [&](Index i, auto&& edge) {
+  const std::int64_t work = gated_work(opts.policy, [&] {
+    return approx_edges(s->mask.components, L, /*causal=*/true) * static_cast<Size>(d);
+  });
+  detail::run_rows(q, k, v, opts, state, work, [&](Index i, auto&& edge) {
     s->mask.for_each_causal(i, [&](Index j, float gate) { edge(j, gate); });
   });
   if (!(out.rows() == L && out.cols() == d)) out = Matrix<float>(L, d);
@@ -433,9 +436,17 @@ Index SessionManager::decode_batch(std::vector<DecodeBatchItem>& items,
   groups.reserve(by_session.size());
   for (const auto& [sid, idx] : by_session) groups.push_back(&idx);
 
-  // The per-group fold count reduces through the substrate: inside a
-  // server worker this runs nested (the guard degrades it to serial);
-  // standalone it spreads sessions across threads.
+  // The per-group fold count reduces through the substrate: called
+  // from inside a parallel region it runs serially (nesting guard);
+  // otherwise the work gate spreads the sessions across threads only
+  // when their rows carry enough work to pay for the fork.
+  const std::int64_t work = gated_work(policy, [&] {
+    std::int64_t sum = 0;
+    for (const auto& [sid, idx] : by_session) {
+      sum += decode_work(sid, static_cast<Index>(idx.size()));
+    }
+    return sum;
+  });
   return parallel_reduce(
       Index{0}, static_cast<Index>(groups.size()), Index{0},
       [&](Index lo, Index hi, Index partial) {
@@ -455,7 +466,26 @@ Index SessionManager::decode_batch(std::vector<DecodeBatchItem>& items,
         }
         return partial;
       },
-      [](Index a, Index b) { return a + b; }, policy);
+      [](Index a, Index b) { return a + b; }, policy, work);
+}
+
+std::int64_t SessionManager::decode_work(std::uint64_t id, Index steps) const {
+  std::shared_ptr<Session> s;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = sessions_.find(id);
+    if (it == sessions_.end()) return 0;
+    s = it->second;
+  }
+  std::lock_guard<std::mutex> op(s->op_mu);
+  if (s->evicted) return 0;
+  const Index first = s->table.length();
+  const Index max_len = s->mask.max_len();
+  Size edges = 0;
+  for (Index t = first; t < first + steps && (max_len < 0 || t < max_len); ++t) {
+    for (const MaskTraversal& tr : s->mask.components) edges += tr.row_degree(t, t + 1, true);
+  }
+  return static_cast<std::int64_t>(edges) * pool_.head_dim();
 }
 
 SessionManager::Stats SessionManager::stats() const {

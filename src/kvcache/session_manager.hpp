@@ -146,9 +146,12 @@ class SessionManager {
   /// (steps of ONE session run in item order — the autoregressive
   /// ordering contract above), and the per-session groups fold
   /// concurrently under `policy` through a parallel_reduce that sums
-  /// folded edges. Per-item failures are recorded in the item's
-  /// `outcome`, never thrown — one bad session must not poison the
-  /// batch. Returns the total edges folded by the Ok items.
+  /// folded edges. The reduce's work estimate is each item's one-row
+  /// causal degree × head_dim, so a batch of short rows (below the
+  /// substrate's kGrainWork) decodes inline on the caller. Per-item
+  /// failures are recorded in the item's `outcome`, never thrown — one
+  /// bad session must not poison the batch. Returns the total edges
+  /// folded by the Ok items.
   Index decode_batch(std::vector<DecodeBatchItem>& items, const ExecPolicy& policy);
 
   Stats stats() const;
@@ -174,6 +177,12 @@ class SessionManager {
 
   /// Looks up + LRU-touches under mu_; throws SessionNotFound.
   std::shared_ptr<Session> find_and_touch(std::uint64_t id);
+
+  /// Edges × head_dim that the next `steps` decode steps of session
+  /// `id` fold — decode_batch's work estimate. Never throws: an unknown,
+  /// evicted or full session counts 0 (decode_step reports it typed).
+  std::int64_t decode_work(std::uint64_t id, Index steps) const;
+
   /// Appends with evict-and-retry: reclaims an orphaned prompt-cache
   /// page first (cheapest — no session dies), then evicts LRU sessions.
   /// Caller holds s->op_mu.

@@ -7,7 +7,7 @@
 //
 // Naming convention: `subsystem.noun[.verb]`, lowercase, dot-separated
 //   serve.requests.submitted      kvcache.prefix.hits
-//   net.bytes.sent                sched.auto.picks.dynamic
+//   net.bytes.sent                parallel.calls.forked
 // Names are registered once and live for the registry's lifetime, so
 // instrument sites cache the returned reference (one magic-static) and
 // the hot path is a single sharded atomic add — no lock, no lookup.

@@ -26,7 +26,7 @@ struct DeviceSpec {
   /// NVIDIA GeForce RTX 4090 24GB — consumer-tier budget point below
   /// every Table I datacenter card.
   static DeviceSpec rtx4090_24gb() { return {"NVIDIA RTX 4090 (24GB)", 24ull << 30}; }
-  /// This host's RAM-bounded pseudo-device (for tracker-backed tests).
+  /// A pseudo-device of `bytes` (small KV pools and capacity tests).
   static DeviceSpec host(Size bytes) { return {"host", bytes}; }
 };
 

@@ -9,6 +9,13 @@
 // paper's analysis (§V-C: the global mask creates a skewed per-row work
 // distribution, and "the algorithm can only be as fast as its slowest
 // block" — visible under static scheduling, mitigated by dynamic).
+//
+// A policy says how many threads MAY run a call; whether the call forks
+// at all, and into how many chunks, is the work gate's decision
+// (parallel/parallel_for.hpp): calls below kGrainWork edges × head_dim
+// run inline, larger ones split into chunks of at least kGrainWork.
+// Skewed masks ask for Dynamic explicitly: a per-call degree-skew pick
+// lost to these fixed rules on every bench_ablation_schedule cell.
 
 #include <cstdint>
 
@@ -19,21 +26,13 @@ namespace gpa {
 enum class Schedule : std::uint8_t {
   Static,   ///< contiguous row ranges per worker (CUDA grid-stride analogue)
   Dynamic,  ///< workers steal chunks of `grain` rows (load-balancing)
-  /// Resolved at kernel call time from the mask traversal's degree/skew
-  /// statistics (see parallel/auto_tune.hpp): skewed rows → Dynamic with
-  /// a grain derived from the mean degree, uniform rows → Static. If an
-  /// unresolved Auto reaches the substrate (no stats available — e.g. a
-  /// raw parallel_for), it falls back to Static, the balanced-work
-  /// assumption.
-  Auto,
 };
 
 struct ExecPolicy {
   /// 0 = use all hardware threads.
   int num_threads = 0;
-  /// Rows handed out per scheduling decision under Dynamic; <= 0 means
-  /// "derive" (auto-tuning fills it from the mean row degree, the raw
-  /// substrate from range/threads).
+  /// Fewest rows per chunk; <= 0 leaves the chunk size to the work gate
+  /// alone (chunks of kGrainWork edges × head_dim, parallel_for.hpp).
   std::int64_t grain = 64;
   Schedule schedule = Schedule::Static;
   /// Which SIMD arm the kernel's inner loops take (Auto = runtime
@@ -41,10 +40,6 @@ struct ExecPolicy {
   SimdLevel simd = SimdLevel::Auto;
 
   static ExecPolicy serial() { return {1, 1, Schedule::Static}; }
-  /// Traversal-driven scheduling: kernels resolve schedule + grain from
-  /// the mask's skew profile at call time (§V-C: "the algorithm can
-  /// only be as fast as its slowest block").
-  static ExecPolicy auto_tuned() { return {0, 0, Schedule::Auto}; }
 };
 
 }  // namespace gpa

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/parallel_region.hpp"
 
 namespace gpa {
@@ -24,17 +25,18 @@ std::string_view parallel_backend() noexcept {
 int resolved_threads(const ExecPolicy& policy) noexcept {
   if (in_parallel_region()) return 1;  // nested call: degrade to serial
   if (policy.num_threads > 0) return policy.num_threads;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return hw > 0 ? hw : 1;
+  // hardware_concurrency reads the online-CPU list from the OS on every
+  // call; one read per process keeps the gate's fast path free of it.
+  static const int hw = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return hw;
 }
 
 namespace {
 
-/// An unresolved Auto policy reaching the raw substrate has no degree
-/// stats to consult; Static is the balanced-work assumption.
-Schedule effective_schedule(const ExecPolicy& policy) noexcept {
-  return policy.schedule == Schedule::Auto ? Schedule::Static : policy.schedule;
-}
+// What the work gate chose. Registered at load time, so a scrape lists
+// both counters (at 0) before the first parallel call.
+obs::Counter& g_calls_inline = obs::Registry::global().counter("parallel.calls.inline");
+obs::Counter& g_calls_forked = obs::Registry::global().counter("parallel.calls.forked");
 
 /// First-wins exception capture shared by both backends. The mutex
 /// serializes the pointer store (multiple workers can fail at once);
@@ -67,7 +69,7 @@ class ErrorCapture {
 /// Shared fork/join driver. Under Static each worker owns one contiguous
 /// slice; under Dynamic workers pull `grain`-sized chunks from a shared
 /// counter (work stealing by atomic fetch-add).
-void run_workers(Index begin, Index end, const ExecPolicy& policy, int threads, Schedule sched,
+void run_workers(Index begin, Index end, int threads, Index grain, Schedule sched,
                  const std::function<void(Index, Index)>& chunk_body) {
   const Index n = end - begin;
   ErrorCapture err;
@@ -96,7 +98,6 @@ void run_workers(Index begin, Index end, const ExecPolicy& policy, int threads, 
       });
     }
   } else {
-    const Index grain = policy.grain > 0 ? policy.grain : 1;
     auto next = std::make_shared<std::atomic<Index>>(begin);
     for (int t = 0; t < threads; ++t) {
       pool.emplace_back([&, next] {
@@ -118,61 +119,78 @@ void run_workers(Index begin, Index end, const ExecPolicy& policy, int threads, 
 
 }  // namespace
 
-void parallel_for_chunks(Index begin, Index end, const ExecPolicy& policy,
-                         const std::function<void(Index, Index)>& body) {
-  const Index n = end - begin;
-  if (n <= 0) return;
-  // resolved_threads returns 1 inside a region (nesting guard). The
-  // n == 1 case always runs inline on the caller — a single item gains
-  // nothing from a worker hop, and staying outside the region keeps the
-  // item's own nested loops free to parallelise (a batch of one).
-  const int threads = static_cast<int>(
-      std::min<Index>(static_cast<Index>(resolved_threads(policy)), n));
-  if (threads <= 1 || n == 1) {
-    body(begin, end);
-    return;
+namespace detail {
+
+Split split_work(Index n, const ExecPolicy& policy, std::int64_t work) {
+  // A serial policy or a nested call has one thread: the estimate is
+  // never consulted and nothing is counted.
+  const int threads = resolved_threads(policy);
+  if (threads <= 1) return {1, n};
+  // At most one chunk per kGrainWork of work, and at least policy.grain
+  // indices per chunk (grain <= 0: chunks of kGrainWork work each).
+  const Index max_chunks = std::min<std::int64_t>(n, work / kGrainWork);
+  Split s;
+  if (max_chunks >= 2) {
+    s.grain = std::max(policy.grain, divup(n, max_chunks));
+    s.threads = static_cast<int>(std::min<Index>(threads, divup(n, s.grain)));
   }
-  const Schedule sched = effective_schedule(policy);
+  if (s.threads <= 1) {
+    g_calls_inline.inc();
+    return {1, n};
+  }
+  g_calls_forked.inc();
+  return s;
+}
+
+void fork_chunks(Index begin, Index end, const ExecPolicy& policy, Split split,
+                 const std::function<void(Index, Index)>& body) {
+  const Schedule sched = policy.schedule;
+  const int threads = split.threads;
+  const Index grain = split.grain;
 #if defined(GPA_HAVE_OPENMP)
-  const Index grain = policy.grain > 0 ? policy.grain : divup(n, static_cast<Index>(threads));
-  const Index chunks = divup(n, grain);
+  const Index chunks = divup(end - begin, grain);
   ErrorCapture err;
+  auto run_chunk = [&](Index c) {
+    ParallelRegionGuard region;  // belt to omp_in_parallel's braces
+    if (err.failed()) return;
+    try {
+      const Index lo = begin + c * grain;
+      const Index hi = lo + grain < end ? lo + grain : end;
+      body(lo, hi);
+    } catch (...) {
+      err.capture();
+    }
+  };
   if (sched == Schedule::Static) {
 #pragma omp parallel for num_threads(threads) schedule(static)
-    for (Index c = 0; c < chunks; ++c) {
-      detail::ParallelRegionGuard region;  // belt to omp_in_parallel's braces
-      if (err.failed()) continue;
-      try {
-        const Index lo = begin + c * grain;
-        const Index hi = lo + grain < end ? lo + grain : end;
-        body(lo, hi);
-      } catch (...) {
-        err.capture();
-      }
-    }
+    for (Index c = 0; c < chunks; ++c) run_chunk(c);
   } else {
 #pragma omp parallel for num_threads(threads) schedule(dynamic, 1)
-    for (Index c = 0; c < chunks; ++c) {
-      detail::ParallelRegionGuard region;
-      if (err.failed()) continue;
-      try {
-        const Index lo = begin + c * grain;
-        const Index hi = lo + grain < end ? lo + grain : end;
-        body(lo, hi);
-      } catch (...) {
-        err.capture();
-      }
-    }
+    for (Index c = 0; c < chunks; ++c) run_chunk(c);
   }
   err.rethrow_if_failed();
 #else
-  run_workers(begin, end, policy, threads, sched, body);
+  run_workers(begin, end, threads, grain, sched, body);
 #endif
 }
 
-void parallel_for(Index begin, Index end, const ExecPolicy& policy,
+}  // namespace detail
+
+void parallel_for_chunks(Index begin, Index end, const ExecPolicy& policy, std::int64_t work,
+                         const std::function<void(Index, Index)>& body) {
+  const Index n = end - begin;
+  if (n <= 0) return;
+  const detail::Split split = detail::split_work(n, policy, work);
+  if (split.threads <= 1) {
+    body(begin, end);
+    return;
+  }
+  detail::fork_chunks(begin, end, policy, split, body);
+}
+
+void parallel_for(Index begin, Index end, const ExecPolicy& policy, std::int64_t work,
                   const std::function<void(Index)>& body) {
-  parallel_for_chunks(begin, end, policy, [&](Index lo, Index hi) {
+  parallel_for_chunks(begin, end, policy, work, [&](Index lo, Index hi) {
     for (Index i = lo; i < hi; ++i) body(i);
   });
 }

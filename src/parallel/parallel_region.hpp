@@ -24,7 +24,7 @@ namespace detail {
 
 /// RAII marker the substrate places around worker bodies. Restores the
 /// previous state on destruction, so region depth nests correctly on
-/// reused threads (OpenMP pool members, ThreadPool workers).
+/// reused threads (OpenMP team members).
 class ParallelRegionGuard {
  public:
   ParallelRegionGuard() noexcept;

@@ -250,14 +250,24 @@ void Server::dispatch_pattern(std::vector<Request>& batch) {
     // row slices — the same enumerator the one-shot kernels and decode
     // sessions use — so the result equals an exact-length dispatch bit
     // for bit.
-    parallel_for(0, b, cfg_.batch_policy, [&](Index i) {
+    const auto item_work = [&](const Request& r) {
+      return approx_edges(r.pattern->components, r.data->q.rows(), /*causal=*/true) *
+             static_cast<Size>(r.data->q.cols());
+    };
+    const std::int64_t work = gated_work(cfg_.batch_policy, [&] {
+      Size sum = 0;
+      for (const Request& r : batch) sum += item_work(r);
+      return sum;
+    });
+    parallel_for(0, b, cfg_.batch_policy, work, [&](Index i) {
       trace::Span item_span("serve.item", "serve");
       Request& r = batch[static_cast<std::size_t>(i)];
       AttentionOptions o = r.opts;
       o.policy = cfg_.item_policy;
       o.causal = true;  // pattern requests are causal by contract
       SoftmaxState st(r.data->q.rows(), r.data->q.cols());
-      detail::run_rows(r.data->q, r.data->k, r.data->v, o, st, [&](Index row, auto&& edge) {
+      const std::int64_t own = gated_work(o.policy, [&] { return item_work(r); });
+      detail::run_rows(r.data->q, r.data->k, r.data->v, o, st, own, [&](Index row, auto&& edge) {
         r.pattern->for_each_causal(row, [&](Index j, float gate) { edge(j, gate); });
       });
       st.finalize_into(r.output);
@@ -304,7 +314,12 @@ void Server::dispatch(std::vector<Request>& batch) {
     // Every request in the batch shares one BatchKey, hence one mask
     // structure and shape; items are independent sequences, so the
     // cross-item loop is the batch's "grid" dimension.
-    parallel_for(0, b, cfg_.batch_policy, [&](Index i) {
+    const std::int64_t work = gated_work(cfg_.batch_policy, [&] {
+      Size sum = 0;
+      for (const Request& r : batch) sum += r.mask->nnz() * static_cast<Size>(r.data->q.cols());
+      return sum;
+    });
+    parallel_for(0, b, cfg_.batch_policy, work, [&](Index i) {
       trace::Span item_span("serve.item", "serve");
       Request& r = batch[static_cast<std::size_t>(i)];
       AttentionOptions o = r.opts;

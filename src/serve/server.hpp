@@ -15,8 +15,11 @@
 // The two levels cannot multiply threads: the substrate's nesting guard
 // (parallel/parallel_region.hpp) makes a kernel called from inside the
 // cross-item loop run serial regardless of item_policy, so thread count
-// is max(batch_policy, item_policy) threads, never the product. A
-// batch of ONE item dispatches inline on the worker (no region opened),
+// is max(batch_policy, item_policy) threads, never the product. The
+// cross-item loop weighs the batch's work (the items' own edges ×
+// head_dim; for decode, each step's one-row degree): a batch below the
+// substrate's work gate — a batch of one, or a handful of one-row
+// decode steps — dispatches inline on the worker (no region opened),
 // so item_policy's parallelism survives exactly when there is no
 // cross-item parallelism to collide with. The defaults give each
 // dispatch the whole machine across items and keep items serial inside,

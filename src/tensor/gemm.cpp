@@ -19,7 +19,7 @@ void gemm_nt(const Matrix<float>& a, const Matrix<float>& b, Matrix<float>& c,
   GPA_CHECK(c.rows() == m && c.cols() == n, "gemm_nt: output shape mismatch");
   const simd::VecOps& vo = simd::ops(policy.simd);
 
-  parallel_for_chunks(0, m, policy, [&](Index i_lo, Index i_hi) {
+  parallel_for_chunks(0, m, policy, m * n * k, [&](Index i_lo, Index i_hi) {
     for (Index ii = i_lo; ii < i_hi; ii += kTileI) {
       const Index i_end = ii + kTileI < i_hi ? ii + kTileI : i_hi;
       for (Index jj = 0; jj < n; jj += kTileJ) {
@@ -43,7 +43,7 @@ void gemm_nn(const Matrix<float>& a, const Matrix<float>& b, Matrix<float>& c,
   GPA_CHECK(c.rows() == m && c.cols() == n, "gemm_nn: output shape mismatch");
   const simd::VecOps& vo = simd::ops(policy.simd);
 
-  parallel_for_chunks(0, m, policy, [&](Index i_lo, Index i_hi) {
+  parallel_for_chunks(0, m, policy, m * n * k, [&](Index i_lo, Index i_hi) {
     for (Index i = i_lo; i < i_hi; ++i) {
       const float* arow = a.row(i);
       float* crow = c.row(i);

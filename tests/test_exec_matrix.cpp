@@ -22,6 +22,7 @@
 #include "common/rng.hpp"
 #include "core/graph_attention.hpp"
 #include "core/spmm_attention.hpp"
+#include "obs/metrics.hpp"
 #include "simd/simd.hpp"
 #include "sparse/build.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -42,15 +43,18 @@ std::int64_t ulp_diff(float a, float b) {
 }
 
 /// Sanity bound for relaxed arms vs the scalar reference at this
-/// fixture's shapes (d=16, ~14 neighbors/row). Deliberately loose: this
+/// fixture's shapes (d=64, ~15 neighbors/row). Deliberately loose: this
 /// test pins determinism, test_simd_parity pins accuracy.
 constexpr std::int64_t kRelaxedUlp = 256;
 
+// Sized so that every kernel call carries enough work (edges × head_dim)
+// for the parallel substrate's work gate to fork: the policy axis then
+// checks the forked path, not an inline fallback.
 struct Fixture {
-  static constexpr Index kL = 96;
-  static constexpr Index kD = 16;
+  static constexpr Index kL = 512;
+  static constexpr Index kD = 64;
   Matrix<float> q{kL, kD}, k{kL, kD}, v{kL, kD};
-  Csr<float> mask = build_csr_random(kL, RandomParams{0.15, 77});
+  Csr<float> mask = build_csr_random(kL, RandomParams{0.03, 77});
 
   Fixture() {
     Rng rng(4242);
@@ -107,7 +111,12 @@ void expect_policy_invariant(const CallFn& call) {
     for (ExecPolicy policy : schedule_policies()) {
       policy.simd = level;
       Matrix<float> out(Fixture::kL, Fixture::kD);
+      obs::Counter& forked = obs::Registry::global().counter("parallel.calls.forked");
+      const std::uint64_t before = forked.value();
       call(policy, out);
+      if (policy.num_threads > 1) {
+        EXPECT_GT(forked.value(), before) << "threads=" << policy.num_threads << ": ran inline";
+      }
       EXPECT_EQ(max_abs_diff(out, arm_base), 0.0)
           << "threads=" << policy.num_threads << " grain=" << policy.grain
           << " sched=" << static_cast<int>(policy.schedule)

@@ -653,6 +653,100 @@ TEST(DecodeBatch, InSessionOrderIsPreservedWithinOneBatch) {
   }
 }
 
+TEST(DecodeBatch, OverTheWorkGateForksAndStaysBitwise) {
+  // A batch above the parallel work gate (kGrainWork edges × head_dim
+  // per chunk, parallel_for.hpp) forks across sessions. Each of 24
+  // sessions decodes two tokens per batch over a 64-wide window at
+  // d = 64 (≈ 24 · 2 · 64 · 64 work, well past two grains), plus one
+  // item for an unknown session that counts 0 in the estimate. Tokens
+  // of one session keep their order, the unknown id fails typed, and
+  // every row equals a sequential decode_step bit for bit.
+  const Index d = 64;
+  constexpr int kSessions = 24;
+  constexpr Index kPrompt = 64;
+  constexpr Index kBatches = 3;
+  constexpr Index kTokens = 2 * kBatches;
+  SessionManager::Config cfg = small_config(d, 0);
+  cfg.pool.page_size = 16;
+  cfg.pool.num_pages = 2 * kSessions * ((kPrompt + kTokens) / 16 + 2);
+  SessionManager batched(cfg);
+  SessionManager reference(cfg);
+  std::vector<Matrix<float>> rows, got, want;
+  for (int s = 1; s <= kSessions; ++s) {
+    const auto id = static_cast<std::uint64_t>(s);
+    for (SessionManager* m : {&batched, &reference}) {
+      m->create(id, MaskSpec::make_local(LocalParams{64}));
+      prefill_n(*m, id, kPrompt, d);
+    }
+    Rng rng(id * 31 + 7);
+    Matrix<float> r(kTokens, d);
+    fill_uniform(r, rng);
+    rows.push_back(std::move(r));
+    got.emplace_back(kTokens, d);
+    want.emplace_back(kTokens, d);
+  }
+
+  obs::Counter& forked = obs::Registry::global().counter("parallel.calls.forked");
+  Matrix<float> junk(1, d);
+  for (Index b = 0; b < kBatches; ++b) {
+    std::vector<SessionManager::DecodeBatchItem> items;
+    for (Index t = 2 * b; t < 2 * b + 2; ++t) {
+      for (int s = 0; s < kSessions; ++s) {
+        const float* row = rows[static_cast<std::size_t>(s)].row(t);
+        items.push_back({static_cast<std::uint64_t>(s + 1), row, row, row,
+                         got[static_cast<std::size_t>(s)].row(t)});
+      }
+    }
+    items.push_back({999, junk.row(0), junk.row(0), junk.row(0), junk.row(0)});
+    const std::uint64_t before = forked.value();
+    batched.decode_batch(items, ExecPolicy{4, 1, Schedule::Dynamic});
+    EXPECT_EQ(forked.value() - before, 1u) << "batch " << b << " ran inline";
+    for (std::size_t i = 0; i + 1 < items.size(); ++i) {
+      EXPECT_EQ(items[i].outcome, SessionManager::DecodeBatchItem::Outcome::Ok) << "item " << i;
+    }
+    EXPECT_EQ(items.back().outcome, SessionManager::DecodeBatchItem::Outcome::SessionError);
+  }
+
+  for (int s = 0; s < kSessions; ++s) {
+    for (Index t = 0; t < kTokens; ++t) {
+      const float* row = rows[static_cast<std::size_t>(s)].row(t);
+      reference.decode_step(static_cast<std::uint64_t>(s + 1), row, row, row,
+                            want[static_cast<std::size_t>(s)].row(t));
+    }
+  }
+  for (int s = 0; s < kSessions; ++s) {
+    EXPECT_EQ(batched.length(static_cast<std::uint64_t>(s + 1)), kPrompt + kTokens);
+    for (Index t = 0; t < kTokens; ++t) {
+      for (Index p = 0; p < d; ++p) {
+        ASSERT_EQ(got[static_cast<std::size_t>(s)](t, p),
+                  want[static_cast<std::size_t>(s)](t, p))
+            << "session " << s + 1 << " token " << t << " col " << p;
+      }
+    }
+  }
+}
+
+TEST(DecodeBatch, SmallBatchRunsInlineUnderAParallelPolicy) {
+  // Eight one-row steps over a short window are far below the work
+  // gate: the batch decodes on the caller without forking a team.
+  const Index d = 16;
+  SessionManager mgr(small_config(d, 64));
+  for (std::uint64_t s = 1; s <= 8; ++s) mgr.create(s, MaskSpec::make_local(LocalParams{4}));
+  Matrix<float> tok(1, d), out(8, d);
+  Rng rng(99);
+  fill_uniform(tok, rng);
+  std::vector<SessionManager::DecodeBatchItem> items;
+  for (std::uint64_t s = 1; s <= 8; ++s) {
+    items.push_back({s, tok.row(0), tok.row(0), tok.row(0), out.row(static_cast<Index>(s - 1))});
+  }
+  obs::Counter& forked = obs::Registry::global().counter("parallel.calls.forked");
+  obs::Counter& inlined = obs::Registry::global().counter("parallel.calls.inline");
+  const std::uint64_t forked0 = forked.value(), inline0 = inlined.value();
+  EXPECT_EQ(mgr.decode_batch(items, ExecPolicy{4, 1, Schedule::Dynamic}), 8);
+  EXPECT_EQ(forked.value(), forked0);
+  EXPECT_EQ(inlined.value() - inline0, 1u);
+}
+
 // --- stats invariants under churn ------------------------------------
 
 // The stats contract the scrape path depends on: counters are monotone

@@ -1,7 +1,8 @@
 // Tests for the parallel runtime substrate: parallel_for semantics under
-// both schedules, exception propagation, nesting degradation,
-// parallel_reduce determinism, the thread pool, and the
-// device-capacity memory tracker.
+// both schedules, the work gate (inline below kGrainWork, forked chunks
+// of at least kGrainWork above it), exception propagation, nesting
+// degradation, and parallel_reduce determinism. Every case runs on the
+// backend this build compiled (OpenMP or std::thread).
 
 #include <gtest/gtest.h>
 
@@ -14,15 +15,17 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "parallel/device_spec.hpp"
-#include "parallel/memory_tracker.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/parallel_reduce.hpp"
 #include "parallel/parallel_region.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace gpa {
 namespace {
+
+/// Work far above the gate: the policy's own grain decides the chunks.
+constexpr std::int64_t kBigWork = std::int64_t{1} << 40;
 
 TEST(ParallelBackendTest, ReportsTheCompiledSubstrate) {
 #if defined(GPA_HAVE_OPENMP)
@@ -38,7 +41,7 @@ TEST_P(ParallelForSchedules, VisitsEveryIndexExactlyOnce) {
   for (const int threads : {1, 2, 4}) {
     ExecPolicy policy{threads, 16, GetParam()};
     std::vector<std::atomic<int>> visits(257);
-    parallel_for(0, 257, policy, [&](Index i) { visits[static_cast<std::size_t>(i)]++; });
+    parallel_for(0, 257, policy, kBigWork, [&](Index i) { visits[static_cast<std::size_t>(i)]++; });
     for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
   }
 }
@@ -47,7 +50,7 @@ TEST_P(ParallelForSchedules, ChunksPartitionTheRange) {
   ExecPolicy policy{3, 10, GetParam()};
   std::mutex mu;
   std::vector<std::pair<Index, Index>> chunks;
-  parallel_for_chunks(5, 105, policy, [&](Index lo, Index hi) {
+  parallel_for_chunks(5, 105, policy, kBigWork, [&](Index lo, Index hi) {
     std::lock_guard<std::mutex> lock(mu);
     chunks.emplace_back(lo, hi);
   });
@@ -64,15 +67,15 @@ TEST_P(ParallelForSchedules, ChunksPartitionTheRange) {
 TEST_P(ParallelForSchedules, EmptyRangeIsNoOp) {
   ExecPolicy policy{4, 8, GetParam()};
   bool called = false;
-  parallel_for(10, 10, policy, [&](Index) { called = true; });
-  parallel_for(10, 5, policy, [&](Index) { called = true; });
+  parallel_for(10, 10, policy, kBigWork, [&](Index) { called = true; });
+  parallel_for(10, 5, policy, kBigWork, [&](Index) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST_P(ParallelForSchedules, ExceptionsPropagateToCaller) {
   ExecPolicy policy{4, 4, GetParam()};
   EXPECT_THROW(
-      parallel_for(0, 100, policy,
+      parallel_for(0, 100, policy, kBigWork,
                    [&](Index i) {
                      if (i == 37) throw std::runtime_error("kernel row failure");
                    }),
@@ -84,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(AllSchedules, ParallelForSchedules,
 
 TEST(ParallelForTest, SerialPolicyRunsInline) {
   std::vector<int> order;
-  parallel_for(0, 10, ExecPolicy::serial(), [&](Index i) {
+  parallel_for(0, 10, ExecPolicy::serial(), kBigWork, [&](Index i) {
     order.push_back(static_cast<int>(i));  // no mutex needed: single thread
   });
   std::vector<int> expect(10);
@@ -100,7 +103,7 @@ TEST(ParallelForTest, ResolvedThreadsHonorsExplicitCount) {
 TEST(ParallelRegionTest, FlagIsSetInsideAndClearedOutside) {
   EXPECT_FALSE(in_parallel_region());
   std::atomic<int> inside{0};
-  parallel_for(0, 8, ExecPolicy{2, 1, Schedule::Static}, [&](Index) {
+  parallel_for(0, 8, ExecPolicy{2, 1, Schedule::Static}, kBigWork, [&](Index) {
     if (in_parallel_region()) inside++;
   });
   EXPECT_EQ(inside.load(), 8);
@@ -114,10 +117,10 @@ TEST(ParallelRegionTest, NestedCallsDegradeToSerial) {
   // loops run on.
   std::mutex mu;
   std::set<std::thread::id> ids;
-  parallel_for(0, 4, ExecPolicy{4, 1, Schedule::Static}, [&](Index) {
+  parallel_for(0, 4, ExecPolicy{4, 1, Schedule::Static}, kBigWork, [&](Index) {
     EXPECT_TRUE(in_parallel_region());
     EXPECT_EQ(resolved_threads(ExecPolicy{4, 1, Schedule::Static}), 1);
-    parallel_for(0, 16, ExecPolicy{4, 1, Schedule::Dynamic}, [&](Index) {
+    parallel_for(0, 16, ExecPolicy{4, 1, Schedule::Dynamic}, kBigWork, [&](Index) {
       std::lock_guard<std::mutex> lock(mu);
       ids.insert(std::this_thread::get_id());
     });
@@ -130,7 +133,7 @@ TEST(ParallelRegionTest, SingleItemRangeRunsInlineKeepingInnerParallelism) {
   // thread and an inner kernel keeps its own parallelism.
   const std::thread::id caller = std::this_thread::get_id();
   bool checked = false;
-  parallel_for(0, 1, ExecPolicy{4, 1, Schedule::Dynamic}, [&](Index) {
+  parallel_for(0, 1, ExecPolicy{4, 1, Schedule::Dynamic}, kBigWork, [&](Index) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
     EXPECT_FALSE(in_parallel_region());
     EXPECT_GE(resolved_threads(ExecPolicy{4, 1, Schedule::Static}), 4);
@@ -151,7 +154,7 @@ TEST_P(ParallelReduceSchedules, SumsTheRange) {
             for (Index i = lo; i < hi; ++i) acc += i;
             return acc;
           },
-          [](std::int64_t a, std::int64_t b) { return a + b; }, policy);
+          [](std::int64_t a, std::int64_t b) { return a + b; }, policy, kBigWork);
       EXPECT_EQ(got, 257 * 256 / 2);
     }
   }
@@ -161,8 +164,8 @@ TEST_P(ParallelReduceSchedules, EmptyRangeReturnsIdentity) {
   ExecPolicy policy{4, 8, GetParam()};
   const auto body = [](Index, Index, int acc) { return acc + 1; };
   const auto comb = [](int a, int b) { return a + b; };
-  EXPECT_EQ(parallel_reduce(Index{5}, Index{5}, 42, body, comb, policy), 42);
-  EXPECT_EQ(parallel_reduce(Index{9}, Index{5}, 42, body, comb, policy), 42);
+  EXPECT_EQ(parallel_reduce(Index{5}, Index{5}, 42, body, comb, policy, kBigWork), 42);
+  EXPECT_EQ(parallel_reduce(Index{9}, Index{5}, 42, body, comb, policy, kBigWork), 42);
 }
 
 TEST_P(ParallelReduceSchedules, ExceptionsPropagateToCaller) {
@@ -176,16 +179,18 @@ TEST_P(ParallelReduceSchedules, ExceptionsPropagateToCaller) {
                      }
                      return acc;
                    },
-                   [](float a, float b) { return a + b; }, policy),
+                   [](float a, float b) { return a + b; }, policy, kBigWork),
                std::runtime_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedules, ParallelReduceSchedules,
                          ::testing::Values(Schedule::Static, Schedule::Dynamic));
 
-TEST(ParallelReduceTest, FloatSumIsBitIdenticalAcrossPoliciesAtFixedGrain) {
+TEST(ParallelReduceTest, FloatSumIsBitIdenticalAcrossPoliciesAndTheGate) {
   // The determinism contract: the reduction tree is fixed by (n, grain),
-  // so serial and any parallel policy produce bit-identical floats.
+  // so serial and any parallel policy produce bit-identical floats —
+  // whether the work gate runs the chunks inline (small work) or forks
+  // them (large work).
   std::vector<float> xs(1000);
   std::uint32_t s = 1u;
   for (float& x : xs) {
@@ -198,119 +203,137 @@ TEST(ParallelReduceTest, FloatSumIsBitIdenticalAcrossPoliciesAtFixedGrain) {
   };
   const auto comb = [](float a, float b) { return a + b; };
   const Index n = static_cast<Index>(xs.size());
-  for (const Index grain : {Index{1}, Index{7}, Index{64}}) {
-    const float serial =
-        parallel_reduce(Index{0}, n, 0.0f, body, comb, ExecPolicy{1, grain, Schedule::Static});
-    const float par_static =
-        parallel_reduce(Index{0}, n, 0.0f, body, comb, ExecPolicy{3, grain, Schedule::Static});
-    const float par_dynamic =
-        parallel_reduce(Index{0}, n, 0.0f, body, comb, ExecPolicy{3, grain, Schedule::Dynamic});
-    EXPECT_EQ(serial, par_static) << "grain " << grain;
-    EXPECT_EQ(serial, par_dynamic) << "grain " << grain;
+  for (const std::int64_t work : {kGrainWork - 1, 64 * kGrainWork, kBigWork}) {
+    for (const Index grain : {Index{1}, Index{7}, Index{64}}) {
+      const float serial = parallel_reduce(Index{0}, n, 0.0f, body, comb,
+                                           ExecPolicy{1, grain, Schedule::Static}, work);
+      for (const int threads : {2, 3, 4}) {
+        for (const Schedule sched : {Schedule::Static, Schedule::Dynamic}) {
+          const ExecPolicy policy{threads, grain, sched};
+          const float par = parallel_reduce(Index{0}, n, 0.0f, body, comb, policy, work);
+          EXPECT_EQ(serial, par) << "work " << work << " grain " << grain << " threads "
+                                 << threads << " sched " << static_cast<int>(sched);
+        }
+      }
+    }
   }
 }
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { count++; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
+// ---------------------------------------------------------------- //
+// The work gate.                                                    //
+// ---------------------------------------------------------------- //
+
+struct GateCounts {
+  std::uint64_t inline_calls, forked_calls;
+  static GateCounts now() {
+    obs::Registry& r = obs::Registry::global();
+    return {r.counter("parallel.calls.inline").value(), r.counter("parallel.calls.forked").value()};
+  }
+};
+
+class WorkGate : public ::testing::TestWithParam<Schedule> {};
+
+TEST_P(WorkGate, BelowGrainWorkRunsOnceInlineOutsideAnyRegion) {
+  const std::thread::id caller = std::this_thread::get_id();
+  const GateCounts before = GateCounts::now();
+  int calls = 0;
+  parallel_for_chunks(0, 1000, ExecPolicy{4, 1, GetParam()}, kGrainWork - 1,
+                      [&](Index lo, Index hi) {
+                        ++calls;  // inline: no other thread touches it
+                        EXPECT_EQ(lo, 0);
+                        EXPECT_EQ(hi, 1000);
+                        EXPECT_EQ(std::this_thread::get_id(), caller);
+                        EXPECT_FALSE(in_parallel_region());
+                        // The nested level keeps the caller's threads.
+                        EXPECT_EQ(resolved_threads(ExecPolicy{4, 1, Schedule::Static}), 4);
+                      });
+  EXPECT_EQ(calls, 1);
+  const GateCounts after = GateCounts::now();
+  EXPECT_EQ(after.inline_calls - before.inline_calls, 1u);
+  EXPECT_EQ(after.forked_calls, before.forked_calls);
 }
 
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();
-  EXPECT_EQ(pool.size(), 2);
+TEST_P(WorkGate, AtTwoGrainsAndAboveSplitsIntoChunksVisitingEveryIndexOnce) {
+  for (const std::int64_t work : {2 * kGrainWork, 5 * kGrainWork, kBigWork}) {
+    std::mutex mu;
+    std::vector<std::pair<Index, Index>> chunks;
+    std::vector<std::atomic<int>> visits(1000);
+    const GateCounts before = GateCounts::now();
+    parallel_for_chunks(0, 1000, ExecPolicy{4, 1, GetParam()}, work, [&](Index lo, Index hi) {
+      EXPECT_TRUE(in_parallel_region());
+      for (Index i = lo; i < hi; ++i) visits[static_cast<std::size_t>(i)]++;
+      std::lock_guard<std::mutex> lock(mu);
+      chunks.emplace_back(lo, hi);
+    });
+    EXPECT_GE(chunks.size(), 2u) << "work " << work;
+    // Chunks of at least kGrainWork each: never more than work/kGrainWork.
+    EXPECT_LE(static_cast<std::int64_t>(chunks.size()), work / kGrainWork) << "work " << work;
+    for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+    const GateCounts after = GateCounts::now();
+    EXPECT_EQ(after.forked_calls - before.forked_calls, 1u);
+    EXPECT_EQ(after.inline_calls, before.inline_calls);
+  }
 }
 
-TEST(ThreadPoolTest, TasksCanBeSubmittedAfterWait) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&] { count++; });
-  pool.wait_idle();
-  pool.submit([&] { count++; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
+TEST_P(WorkGate, OneGrainOfWorkIsOneChunkAndRunsInline) {
+  // [kGrainWork, 2·kGrainWork) holds a single chunk of kGrainWork, and
+  // the gate never uses more threads than chunks.
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  parallel_for_chunks(0, 1000, ExecPolicy{4, 1, GetParam()}, 2 * kGrainWork - 1,
+                      [&](Index lo, Index hi) {
+                        ++calls;
+                        EXPECT_EQ(hi - lo, 1000);
+                        EXPECT_EQ(std::this_thread::get_id(), caller);
+                        EXPECT_FALSE(in_parallel_region());
+                      });
+  EXPECT_EQ(calls, 1);
 }
 
-TEST(ThreadPoolTest, ThrowingTaskPropagatesFromWaitIdle) {
-  // The regression this pins: a throwing task used to escape
-  // worker_loop (std::terminate) and leave in_flight_ forever nonzero
-  // (wait_idle deadlock). Now the error is stashed and rethrown here,
-  // after everything in flight has drained.
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) pool.submit([&] { ran++; });
-  pool.submit([] { throw std::runtime_error("task failure"); });
-  for (int i = 0; i < 8; ++i) pool.submit([&] { ran++; });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 16);  // the failure never cancels other tasks
+TEST_P(WorkGate, NeverUsesMoreThreadsThanChunks) {
+  // Three grains of work over 4 threads: at most three chunks, hence at
+  // most three distinct worker threads.
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  std::size_t chunks = 0;
+  parallel_for_chunks(0, 300, ExecPolicy{4, 1, GetParam()}, 3 * kGrainWork,
+                      [&](Index, Index) {
+                        std::lock_guard<std::mutex> lock(mu);
+                        ids.insert(std::this_thread::get_id());
+                        ++chunks;
+                      });
+  EXPECT_LE(chunks, 3u);
+  EXPECT_LE(ids.size(), chunks);
 }
 
-TEST(ThreadPoolTest, PoolStaysUsableAfterTaskFailure) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task failure"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The error was consumed by the rethrow: the pool accepts new work
-  // and the next wait_idle is clean.
-  std::atomic<int> count{0};
-  for (int i = 0; i < 4; ++i) pool.submit([&] { count++; });
-  EXPECT_NO_THROW(pool.wait_idle());
-  EXPECT_EQ(count.load(), 4);
+TEST_P(WorkGate, SerialPolicyNeverConsultsTheGate) {
+  const GateCounts before = GateCounts::now();
+  int calls = 0;
+  parallel_for_chunks(0, 1000, ExecPolicy{1, 1, GetParam()}, kBigWork, [&](Index, Index) {
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+  const GateCounts after = GateCounts::now();
+  EXPECT_EQ(after.inline_calls, before.inline_calls);
+  EXPECT_EQ(after.forked_calls, before.forked_calls);
+  // gated_work skips the estimate when only one thread is available.
+  bool estimated = false;
+  EXPECT_EQ(gated_work(ExecPolicy::serial(), [&] {
+              estimated = true;
+              return kBigWork;
+            }),
+            0);
+  EXPECT_FALSE(estimated);
+  EXPECT_EQ(gated_work(ExecPolicy{2, 1, GetParam()}, [] { return kBigWork; }), kBigWork);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllSchedules, WorkGate,
+                         ::testing::Values(Schedule::Static, Schedule::Dynamic));
 
 TEST(DeviceSpecTest, PresetsMatchTable1Capacities) {
   EXPECT_EQ(DeviceSpec::a100_80gb().memory_bytes, 80ull << 30);
   EXPECT_EQ(DeviceSpec::l40_48gb().memory_bytes, 48ull << 30);
   EXPECT_EQ(DeviceSpec::v100_32gb().memory_bytes, 32ull << 30);
-}
-
-TEST(MemoryTrackerTest, AllocatesWithinBudget) {
-  MemoryTracker tracker(DeviceSpec::host(1000));
-  tracker.allocate(600);
-  EXPECT_EQ(tracker.in_use(), 600u);
-  tracker.allocate(400);
-  EXPECT_EQ(tracker.in_use(), 1000u);
-  EXPECT_EQ(tracker.peak(), 1000u);
-}
-
-TEST(MemoryTrackerTest, ThrowsOnExhaustion) {
-  MemoryTracker tracker(DeviceSpec::host(1000));
-  tracker.allocate(999);
-  EXPECT_THROW(tracker.allocate(2), OutOfDeviceMemory);
-  EXPECT_EQ(tracker.in_use(), 999u);  // failed allocation leaves state unchanged
-}
-
-TEST(MemoryTrackerTest, ReleaseAllowsReuse) {
-  MemoryTracker tracker(DeviceSpec::host(100));
-  tracker.allocate(100);
-  tracker.release(100);
-  EXPECT_NO_THROW(tracker.allocate(100));
-  EXPECT_EQ(tracker.peak(), 100u);
-}
-
-TEST(MemoryTrackerTest, LeaseReleasesOnScopeExit) {
-  MemoryTracker tracker(DeviceSpec::host(100));
-  {
-    MemoryLease lease(tracker, 80);
-    EXPECT_EQ(tracker.in_use(), 80u);
-  }
-  EXPECT_EQ(tracker.in_use(), 0u);
-}
-
-TEST(MemoryTrackerTest, ConcurrentAllocationsNeverExceedBudget) {
-  MemoryTracker tracker(DeviceSpec::host(1000));
-  std::atomic<int> failures{0};
-  parallel_for(0, 64, ExecPolicy{8, 1, Schedule::Dynamic}, [&](Index) {
-    try {
-      tracker.allocate(100);
-    } catch (const OutOfDeviceMemory&) {
-      failures++;
-    }
-  });
-  EXPECT_EQ(tracker.in_use(), 1000u);  // exactly 10 succeeded
-  EXPECT_EQ(failures.load(), 54);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Traversal-driven auto-scheduling (parallel/auto_tune.hpp) and the
-// schedule-invariance property it relies on: the schedule decides who
-// computes a row, never what the row computes, so every kernel must be
-// bitwise identical across {Static, Dynamic, Auto} × grain × threads —
-// including the grain/schedule combinations Auto resolves to at call
-// time. The auto-pick tests pin the decision rule of §V-C: the global
-// mask's skewed rows ("the algorithm can only be as fast as its slowest
-// block") pick Dynamic, uniform rows pick Static.
+// Schedule invariance: the schedule decides who computes a row, never
+// what the row computes, so every kernel must be bitwise identical
+// across {Static, Dynamic} × grain × threads, including grain 0 (chunk
+// size left to the work gate). The fixture is sized so that every
+// kernel call carries enough work for the gate to fork (each grid
+// check asserts that it did), so these are checks of the forked path,
+// not of an inline fallback.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,7 @@
 #include "core/graph_attention.hpp"
 #include "core/spmm_attention.hpp"
 #include "core/traversal.hpp"
-#include "parallel/auto_tune.hpp"
+#include "obs/metrics.hpp"
 #include "sparse/build.hpp"
 #include "sparse/presets.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -25,97 +24,13 @@ namespace gpa {
 namespace {
 
 // ---------------------------------------------------------------- //
-// Auto-pick decision rule, pinned.                                  //
-// ---------------------------------------------------------------- //
-
-TEST(AutoTuneTest, SkewedDegreesPickDynamic) {
-  const ExecPolicy p = auto_tune(ExecPolicy::auto_tuned(), 8.0, 64.0);
-  EXPECT_EQ(p.schedule, Schedule::Dynamic);
-  EXPECT_EQ(p.grain, kAutoMaxGrain);  // 4096/8 = 512 → clamped to the cap
-}
-
-TEST(AutoTuneTest, UniformDegreesPickStatic) {
-  const ExecPolicy p = auto_tune(ExecPolicy::auto_tuned(), 64.0, 1.1);
-  EXPECT_EQ(p.schedule, Schedule::Static);
-  EXPECT_EQ(p.grain, kAutoGrainWork / 64);  // 4096/64 = 64
-}
-
-TEST(AutoTuneTest, GrainClampsToBothEnds) {
-  // Tiny rows → huge derived grain, clamped to the cap.
-  EXPECT_EQ(auto_tune(ExecPolicy::auto_tuned(), 1.0, 1.0).grain, kAutoMaxGrain);
-  // Enormous rows → sub-1 derived grain, clamped up to one row.
-  EXPECT_EQ(auto_tune(ExecPolicy::auto_tuned(), 1.0e6, 1.0).grain, Index{1});
-}
-
-TEST(AutoTuneTest, ThresholdIsTheBoundary) {
-  EXPECT_EQ(auto_tune(ExecPolicy::auto_tuned(), 8.0, kAutoImbalanceThreshold).schedule,
-            Schedule::Dynamic);
-  EXPECT_EQ(auto_tune(ExecPolicy::auto_tuned(), 8.0, kAutoImbalanceThreshold - 0.01).schedule,
-            Schedule::Static);
-}
-
-TEST(AutoTuneTest, NonAutoPoliciesPassThroughUntouched) {
-  const ExecPolicy fixed{3, 7, Schedule::Dynamic};
-  const ExecPolicy p = auto_tune(fixed, 8.0, 64.0);
-  EXPECT_EQ(p.num_threads, 3);
-  EXPECT_EQ(p.grain, 7);
-  EXPECT_EQ(p.schedule, Schedule::Dynamic);
-}
-
-TEST(AutoPickTest, GlobalMaskResolvesToDynamic) {
-  // Eight hub rows attend to ~everything, the other 1016 rows to at
-  // most eight columns: imbalance ≈ L/mean ≫ threshold.
-  constexpr Index kL = 1024;
-  GlobalMinusLocalParams gp;
-  gp.global = make_global({0, 130, 260, 390, 520, 650, 780, 910}, kL);
-  gp.local = make_local(2);
-  const MaskTraversal tr = MaskTraversal::global(gp);
-  ASSERT_GE(tr.stats(kL, false).imbalance, kAutoImbalanceThreshold);
-
-  const ExecPolicy p = tr.resolved_policy(ExecPolicy::auto_tuned(), kL, /*causal=*/false);
-  EXPECT_EQ(p.schedule, Schedule::Dynamic);
-  EXPECT_GE(p.grain, Index{1});
-  EXPECT_LE(p.grain, kAutoMaxGrain);
-}
-
-TEST(AutoPickTest, UniformCsrResolvesToStatic) {
-  // A materialised sliding window: every interior row has the same
-  // degree, so imbalance ≈ 1.
-  constexpr Index kL = 1024;
-  const Csr<float> mask = build_csr_local(kL, LocalParams{8});
-  const MaskTraversal tr = MaskTraversal::over(mask);
-  ASSERT_LT(tr.stats(kL, false).imbalance, kAutoImbalanceThreshold);
-
-  const ExecPolicy p = tr.resolved_policy(ExecPolicy::auto_tuned(), kL, /*causal=*/false);
-  EXPECT_EQ(p.schedule, Schedule::Static);
-  EXPECT_GE(p.grain, Index{1});
-}
-
-TEST(AutoPickTest, ComposedResolutionSumsComponentDegrees) {
-  // Longformer = local window + global hubs: the window dominates the
-  // mean but the hubs dominate the max, so the summed profile stays
-  // skewed and the composition as a whole picks Dynamic.
-  constexpr Index kL = 512;
-  const ComposedMask mask = make_longformer(kL, 8, 4);
-  const std::vector<MaskTraversal> components = traversals_of(mask);
-  const ExecPolicy p =
-      resolved_policy(ExecPolicy::auto_tuned(), components, kL, /*causal=*/false);
-  EXPECT_EQ(p.schedule, Schedule::Dynamic);
-  // And a non-Auto policy passes through the composed resolver too.
-  const ExecPolicy fixed{3, 7, Schedule::Static};
-  const ExecPolicy same = resolved_policy(fixed, components, kL, /*causal=*/false);
-  EXPECT_EQ(same.schedule, Schedule::Static);
-  EXPECT_EQ(same.grain, 7);
-}
-
-// ---------------------------------------------------------------- //
 // Schedule invariance: bitwise-identical output across schedules,   //
 // grains, and the auto-tuned policy, for every kernel family.       //
 // ---------------------------------------------------------------- //
 
 struct Fixture {
-  static constexpr Index kL = 96;
-  static constexpr Index kD = 16;
+  static constexpr Index kL = 512;
+  static constexpr Index kD = 64;
   Matrix<float> q{kL, kD}, k{kL, kD}, v{kL, kD};
 
   Fixture() {
@@ -127,17 +42,19 @@ struct Fixture {
 };
 
 /// The schedule grid: serial is the baseline; every Static/Dynamic ×
-/// grain {1, 7, 64} combination at 3 threads, plus the auto-tuned
-/// policy (whatever it resolves to), must match it bitwise.
+/// grain {0, 1, 7, 64} combination at 3 threads must match it bitwise.
 std::vector<ExecPolicy> schedule_grid() {
   std::vector<ExecPolicy> grid;
   for (const Schedule sched : {Schedule::Static, Schedule::Dynamic}) {
-    for (const Index grain : {Index{1}, Index{7}, Index{64}}) {
+    for (const Index grain : {Index{0}, Index{1}, Index{7}, Index{64}}) {
       grid.push_back(ExecPolicy{3, grain, sched});
     }
   }
-  grid.push_back(ExecPolicy::auto_tuned());
   return grid;
+}
+
+std::uint64_t forked_calls() {
+  return obs::Registry::global().counter("parallel.calls.forked").value();
 }
 
 template <typename CallFn>
@@ -147,7 +64,9 @@ void expect_schedule_invariant(const CallFn& call) {
     call(ExecPolicy::serial(), causal, baseline);
     for (const ExecPolicy& policy : schedule_grid()) {
       Matrix<float> out(Fixture::kL, Fixture::kD);
+      const std::uint64_t forked = forked_calls();
       call(policy, causal, out);
+      EXPECT_GT(forked_calls(), forked) << "causal=" << causal << ": the call ran inline";
       EXPECT_EQ(max_abs_diff(out, baseline), 0.0)
           << "causal=" << causal << " grain=" << policy.grain
           << " sched=" << static_cast<int>(policy.schedule);
@@ -245,7 +164,9 @@ TEST(ScheduleInvariance, SpmmPipeline) {
     Matrix<float> out(Fixture::kL, Fixture::kD);
     AttentionOptions opts;
     opts.policy = policy;
+    const std::uint64_t forked = forked_calls();
     spmm_attention(f.q, f.k, f.v, mask, out, opts);
+    EXPECT_GT(forked_calls(), forked) << "the pipeline ran inline";
     EXPECT_EQ(max_abs_diff(out, baseline), 0.0)
         << "grain=" << policy.grain << " sched=" << static_cast<int>(policy.schedule);
   }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <utility>
 #include <vector>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "core/graph_attention.hpp"
 #include "core/multihead.hpp"
 #include "kvcache/kvcache.hpp"
+#include "obs/metrics.hpp"
 #include "serve/serve.hpp"
 #include "sparse/build.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -665,6 +667,58 @@ TEST(ServeDecode, DecodeThroughServerMatchesDirectManagerCall) {
     for (Index p = 0; p < d; ++p) ASSERT_EQ(resp.output(0, p), want(0, p)) << "col " << p;
   }
   EXPECT_EQ(server.sessions()->length(1), L + steps);
+}
+
+TEST(ServeDecode, SmallDecodeBatchesRunInlineUnderTheDefaultBatchPolicy) {
+  // Eight sessions, one token each per step, coalesced into batches by
+  // a server with the default batch_policy (every core, dynamic). Each
+  // batch is eight short one-row steps — far below the substrate's work
+  // gate — so no dispatch forks a team, and every row equals a
+  // sequential decode_step on a reference manager bit for bit.
+  const Index d = 16, prompt = 8, steps = 6;
+  constexpr std::uint64_t kSessions = 8;
+  kvcache::SessionManager direct(decode_manager_config(d));
+  ServerConfig cfg = make_config(1, 64, BatchPolicy{kSessions, 20ms});
+  ASSERT_EQ(cfg.batch_policy.num_threads, ServerConfig{}.batch_policy.num_threads);
+  cfg.sessions = std::make_shared<kvcache::SessionManager>(decode_manager_config(d));
+  Rng rng(808);
+  for (std::uint64_t s = 1; s <= kSessions; ++s) {
+    Matrix<float> q(prompt, d), k(prompt, d), v(prompt, d), out(prompt, d);
+    fill_uniform(q, rng);
+    fill_uniform(k, rng);
+    fill_uniform(v, rng);
+    for (kvcache::SessionManager* m : {&direct, cfg.sessions.get()}) {
+      m->create(s, kvcache::MaskSpec::make_local(LocalParams{4}));
+      m->prefill(s, q, k, v, out);
+    }
+  }
+  Server server(std::move(cfg));
+
+  obs::Counter& forked = obs::Registry::global().counter("parallel.calls.forked");
+  const std::uint64_t forked0 = forked.value();
+  for (Index t = 0; t < steps; ++t) {
+    std::vector<Matrix<float>> want;
+    std::vector<std::future<Response>> futures;
+    for (std::uint64_t s = 1; s <= kSessions; ++s) {
+      Matrix<float> qr(1, d), kr(1, d), vr(1, d), w(1, d);
+      fill_uniform(qr, rng);
+      fill_uniform(kr, rng);
+      fill_uniform(vr, rng);
+      direct.decode_step(s, qr, kr, vr, w);
+      want.push_back(std::move(w));
+      futures.push_back(
+          server.submit(make_decode_request(s, std::move(qr), std::move(kr), std::move(vr))));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const Response resp = futures[i].get();
+      ASSERT_EQ(resp.status, ResponseStatus::Ok);
+      for (Index p = 0; p < d; ++p) {
+        ASSERT_EQ(resp.output(0, p), want[i](0, p)) << "step " << t << " session " << i + 1;
+      }
+    }
+  }
+  EXPECT_EQ(forked.value(), forked0);
+  EXPECT_GT(server.stats().mean_batch_occupancy, 1.0);  // the steps did coalesce
 }
 
 TEST(ServeDecode, ComposedMaskSessionDecodesThroughTheServer) {
