@@ -1,11 +1,12 @@
-// Cluster ring-prefill bench: the wire path (frame codec + RPC +
-// router-relayed ring rotation + deferred in-order folding) against the
-// in-process sim_cluster oracle on the same NNZ-balanced partition.
-// Every timed run re-checks bit-identity — a cluster bench that drifted
-// numerically would be measuring a different computation.
+// Cluster ring-prefill bench: the wire path (frame codec + RPC + one
+// RingPrefill request per node, carrying only the K/V rows its mask
+// slice references) against the in-process sim_cluster oracle on the
+// same NNZ-balanced partition. Every timed run re-checks bit-identity —
+// a cluster bench that drifted numerically would be measuring a
+// different computation.
 //
 // Loopback transports keep the measurement about the protocol (framing,
-// copies, per-step relay) rather than kernel arithmetic or the host's
+// copies, bytes shipped) rather than kernel arithmetic or the host's
 // TCP stack; tools/gpa_cli cluster-bench is the real-socket,
 // real-process variant of the same comparison.
 
@@ -77,8 +78,8 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Cluster ring prefill over loopback vs sim_cluster (L=" << L
             << ", d=" << d << ") ===\n";
-  Table table({"nodes", "wire_s", "edges_per_s", "shard_deliveries", "sim_makespan_s",
-               "bit_identical"});
+  Table table({"nodes", "wire_s", "edges_per_s", "kv_rows_shipped", "foreign_shards",
+               "sim_makespan_s", "bit_identical"});
 
   int rc = 0;
   for (const Index nodes : node_counts) {
@@ -99,14 +100,18 @@ int main(int argc, char** argv) {
         std::memcmp(out.data(), oracle.data(), oracle.size_bytes()) == 0;
     if (!identical) rc = 1;
 
-    Size edges = 0;
-    for (const auto& nr : rep.nodes) edges += nr.edges;
+    Size edges = 0, kv_rows = 0;
+    for (const auto& nr : rep.nodes) {
+      edges += nr.edges;
+      kv_rows += nr.kv_rows;
+    }
     table.add_row({std::to_string(nodes), Table::fmt_seconds(st.mean),
                    Table::fmt_double(static_cast<double>(edges) / st.mean, 0),
-                   std::to_string(rep.shard_deliveries),
+                   std::to_string(kv_rows), std::to_string(rep.shard_deliveries),
                    Table::fmt_seconds(sim.makespan_seconds), identical ? "yes" : "NO"});
     std::cout << "  nodes=" << nodes << ": " << Table::fmt_seconds(st.mean) << "/prefill, "
-              << rep.shard_deliveries << " shard deliveries, oracle "
+              << kv_rows << " K/V rows shipped (" << rep.shard_deliveries
+              << " node/foreign-shard pairs), oracle "
               << (identical ? "bit-identical" : "MISMATCH") << "\n";
   }
 

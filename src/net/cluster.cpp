@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cstring>
+#include <exception>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/fnv1a.hpp"
@@ -160,97 +162,105 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
   const Index P = static_cast<Index>(peers_.size());
   GPA_CHECK(P > 0, "cluster: no peers");
   GPA_CHECK(partition.parts() == P, "cluster: partition parts must equal peer count");
-  GPA_CHECK(!partition.boundaries.empty() && partition.boundaries.front() == 0 &&
-                partition.boundaries.back() == L,
-            "cluster: partition must cover [0, L)");
+  seqpar::check_partition(partition, L);
   GPA_CHECK(mask.rows == L && mask.cols == L, "cluster: mask shape mismatch");
+  GPA_CHECK(d > 0, "cluster: head dim must be positive");
   GPA_CHECK(k.rows() == L && v.rows() == L && k.cols() == d && v.cols() == d,
             "cluster: K/V shape mismatch");
   out = Matrix<float>(L, d);
 
   const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t rid = next_ring_id_++;
   ClusterRingReport report;
+  report.nodes.resize(static_cast<std::size_t>(P));
+  const auto bound = [&](Index p) { return partition.boundaries[static_cast<std::size_t>(p)]; };
+  const auto bytes_of = [](const Writer& w) { return ConstBytes{w.buf.data(), w.buf.size()}; };
+  const std::size_t row_bytes = static_cast<std::size_t>(d) * sizeof(float);
 
-  auto bytes_of = [](const Writer& w) { return ConstBytes{w.buf.data(), w.buf.size()}; };
-
-  // Step 0: every node gets its Q rows and the K/V shard it owns. The
-  // request goes out as gather parts: the fields every node shares are
-  // encoded once, and the Q/K/V row ranges are sent from the caller's
-  // matrices in place, each behind its put_matrix dims.
-  Writer common;
-  put_partition(common, partition);
-  put_csr(common, mask);
-  common.u8(causal ? 1 : 0);
-  common.f32(scale);
-  for (Index p = 0; p < P; ++p) {
-    const Index lo = partition.boundaries[static_cast<std::size_t>(p)];
-    const Index hi = partition.boundaries[static_cast<std::size_t>(p) + 1];
-    Writer head;
-    head.u64(rid);
-    head.u32(static_cast<std::uint32_t>(P));
-    head.u32(static_cast<std::uint32_t>(p));
-    Writer dims;
-    put_matrix_dims(dims, hi - lo, d);
-    const std::size_t row_bytes =
-        static_cast<std::size_t>(hi - lo) * static_cast<std::size_t>(d) * sizeof(float);
-    const ConstBytes parts[] = {bytes_of(head), bytes_of(common),
-                                bytes_of(dims), {q.row(lo), row_bytes},
-                                bytes_of(dims), {k.row(lo), row_bytes},
-                                bytes_of(dims), {v.row(lo), row_bytes}};
-    peers_[static_cast<std::size_t>(p)].rpc->call(Op::RingStart, parts);
-  }
-
-  // Steps 1..P-1: rotate. Node p needs shard (p+s) mod P at step s; the
-  // router fetches it from its owner and relays it (see cluster.hpp for
-  // the star-vs-p2p trade). Delivery order within a step is irrelevant:
-  // nodes fold deferred-in-order regardless of arrival order.
-  for (Index s = 1; s < P; ++s) {
+  // Send every node its request before reading any response, so the
+  // nodes fold concurrently. The mask slice's index and value arrays
+  // and the Q rows go out in place; the referenced K/V rows are packed
+  // into one reused buffer (body layout: net/node.hpp).
+  std::vector<RpcClient::Pending> sent;
+  sent.reserve(static_cast<std::size_t>(P));
+  std::exception_ptr first_error;
+  try {
     for (Index p = 0; p < P; ++p) {
-      const Index shard = (p + s) % P;
-      Writer fw;
-      fw.u64(rid);
-      const auto fetched =
-          peers_[static_cast<std::size_t>(shard)].rpc->call(Op::RingFetch, std::move(fw.buf));
-      Reader fr(fetched);
-      const Index idx = static_cast<Index>(fr.u32());
-      GPA_CHECK(fr.ok && idx == shard, "cluster: ring fetch returned wrong shard");
+      const Index lo = bound(p);
+      const Index hi = bound(p + 1);
+      const Index e0 = mask.row_begin(lo);
+      const Index e1 = mask.row_begin(hi);
       Writer head;
-      head.u64(rid);
-      head.u32(static_cast<std::uint32_t>(shard));
-      // The shard's K/V matrices are relayed verbatim, straight from
-      // the fetch response.
-      const ConstBytes parts[] = {bytes_of(head), {fr.p, fr.remaining()}};
-      peers_[static_cast<std::size_t>(p)].rpc->call(Op::RingShard, parts);
-      ++report.shard_deliveries;
+      head.u32(static_cast<std::uint32_t>(p));
+      head.u32(causal ? 1 : 0);
+      head.f32(scale);
+      head.u32(static_cast<std::uint32_t>(d));
+      put_partition(head, partition);
+      head.i64(hi - lo);
+      head.i64(L);
+      head.u64(static_cast<std::uint64_t>(e1 - e0));
+      for (Index i = lo; i <= hi; ++i) head.i64(mask.row_begin(i) - e0);
+
+      const std::vector<Index> cols = seqpar::referenced_columns(mask, lo, hi, causal);
+      std::vector<std::pair<Index, Index>> spans;  // runs of consecutive columns
+      Index shard = 0, counted = -1;
+      for (const Index j : cols) {
+        if (!spans.empty() && spans.back().second == j) {
+          ++spans.back().second;
+        } else {
+          spans.emplace_back(j, j + 1);
+        }
+        while (j >= bound(shard + 1)) ++shard;
+        if (shard != p && shard != counted) {
+          ++report.shard_deliveries;
+          counted = shard;
+        }
+      }
+      const std::size_t kv_bytes = cols.size() * row_bytes;
+      kv_pack_.resize(2 * kv_bytes / sizeof(float));
+      auto* kp = reinterpret_cast<std::uint8_t*>(kv_pack_.data());
+      Writer runs;
+      runs.u32(static_cast<std::uint32_t>(spans.size()));
+      for (const auto& [b, e] : spans) {
+        runs.i64(b);
+        runs.i64(e);
+        const std::size_t n = static_cast<std::size_t>(e - b) * row_bytes;
+        std::memcpy(kp, k.row(b), n);
+        std::memcpy(kp + kv_bytes, v.row(b), n);
+        kp += n;
+      }
+
+      report.nodes[static_cast<std::size_t>(p)] = {peers_[static_cast<std::size_t>(p)].id, lo,
+                                                   hi, 0, cols.size()};
+      const ConstBytes parts[] = {
+          bytes_of(head),
+          {mask.col_idx.data() + e0, static_cast<std::size_t>(e1 - e0) * sizeof(Index)},
+          {mask.values.data() + e0, static_cast<std::size_t>(e1 - e0) * sizeof(float)},
+          bytes_of(runs),
+          {q.row(lo), static_cast<std::size_t>(hi - lo) * row_bytes},
+          {kv_pack_.data(), kv_pack_.size() * sizeof(float)}};
+      sent.push_back(peers_[static_cast<std::size_t>(p)].rpc->send(Op::RingPrefill, parts));
     }
+  } catch (...) {
+    first_error = std::current_exception();
   }
 
-  // Collect each node's finalized rows.
-  for (Index p = 0; p < P; ++p) {
-    const Index lo = partition.boundaries[static_cast<std::size_t>(p)];
-    const Index hi = partition.boundaries[static_cast<std::size_t>(p) + 1];
-    Writer w;
-    w.u64(rid);
-    const auto body = peers_[static_cast<std::size_t>(p)].rpc->call(Op::RingFinish,
-                                                                    std::move(w.buf));
-    Reader r(body);
-    Matrix<float> rows;
-    GPA_CHECK(get_matrix(r, rows), "cluster: bad ring finish response");
-    const Size edges = r.u64();
-    GPA_CHECK(r.done() && rows.rows() == hi - lo && rows.cols() == d,
-              "cluster: ring finish shape mismatch");
-    if (hi > lo) {
-      std::memcpy(out.row(lo), rows.data(), static_cast<std::size_t>(hi - lo) *
-                                                static_cast<std::size_t>(d) * sizeof(float));
+  // Read every response that is owed, even after an error, so no
+  // connection is left with an unread response; then rethrow the first.
+  for (std::size_t p = 0; p < sent.size(); ++p) {
+    try {
+      const auto body = peers_[p].rpc->receive(sent[p]);
+      ClusterNodeReport& nr = report.nodes[p];
+      const Index rows = nr.row_end - nr.row_begin;
+      Reader r(body);
+      const std::size_t nbytes = static_cast<std::size_t>(rows) * row_bytes;
+      const bool shaped = r.i64() == rows && r.i64() == d && r.bytes(out.row(nr.row_begin), nbytes);
+      nr.edges = r.u64();
+      GPA_CHECK(shaped && r.done(), "cluster: bad ring prefill response");
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
     }
-    ClusterNodeReport nr;
-    nr.node_id = peers_[static_cast<std::size_t>(p)].id;
-    nr.row_begin = lo;
-    nr.row_end = hi;
-    nr.edges = edges;
-    report.nodes.push_back(nr);
   }
+  if (first_error) std::rethrow_exception(first_error);
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return report;

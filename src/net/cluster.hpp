@@ -5,20 +5,15 @@
 //     virtual nodes, so adding a node to an N-node ring re-owns ~1/(N+1)
 //     of the keys instead of rehashing everything.
 //   * ClusterClient — one RPC connection per peer; session ops route to
-//     the ring owner, and ring_prefill drives the wire-rotated
-//     ring-attention protocol across all peers.
+//     the ring owner, and ring_prefill splits one long-context prefill
+//     across all peers by rows.
 //
-// Ring prefill topology: the router *relays* the rotation (star
-// topology) rather than wiring peers to each other — at step s it
-// fetches shard (p+s) mod P from its owner and delivers it to node p.
-// Each delivered shard crosses the wire twice (owner→router→node), so
-// the relay ships 2·(P-1)·shard_bytes per node versus (P-1)·shard_bytes
-// for a true peer-to-peer ring; in exchange the protocol needs only the
-// client→node connections that session serving already requires, works
-// unchanged over the loopback arm, and cannot deadlock (every transfer
-// has exactly one blocked party). The fold order on each node is
-// independent of delivery order (deferred in-order folding, see
-// node.hpp), which is what makes the result bit-identical to
+// Ring prefill topology: a star. The router sends each node one
+// Op::RingPrefill request (its Q rows, its row slice of the mask and
+// only the K/V rows that slice references), all before reading any
+// response, so the nodes fold concurrently. Nothing is relayed or
+// rotated and no node keeps state between requests; nodes fold through
+// seqpar::ShardFold, which makes the result bit-identical to
 // seqpar/sim_cluster.
 
 #include <cstdint>
@@ -59,12 +54,18 @@ struct ClusterNodeReport {
   Index row_begin = 0;
   Index row_end = 0;
   Size edges = 0;
+  /// K/V rows shipped to the node: the columns its rows reference
+  /// (seqpar::referenced_columns). sim_cluster's gathered_bytes for the
+  /// same node is kv_rows × 2·d·4.
+  Size kv_rows = 0;
 };
 
 struct ClusterRingReport {
   std::vector<ClusterNodeReport> nodes;
-  Size shard_deliveries = 0;  ///< rotated shards shipped (fetch+push each)
-  double seconds = 0.0;       ///< wall time of the whole exchange
+  /// (node, foreign shard) pairs where the node was shipped at least
+  /// one row of another node's K/V shard.
+  Size shard_deliveries = 0;
+  double seconds = 0.0;  ///< wall time of the whole exchange
 };
 
 struct PingInfo {
@@ -99,9 +100,11 @@ class ClusterClient {
   /// Scrape a node's full metrics registry snapshot (Op::Stats).
   obs::MetricsSnapshot node_stats(std::uint64_t node_id);
 
-  /// Wire-rotated ring-attention prefill across ALL peers (peer i is
-  /// part i; partition.parts() must equal peers()). Bit-identical to
-  /// seqpar::distributed_csr_attention on the same partition.
+  /// Sequence-parallel prefill across ALL peers (peer i is part i;
+  /// partition.parts() must equal peers()). Bit-identical to
+  /// seqpar::distributed_csr_attention on the same partition. A bad
+  /// partition or shape throws InvalidArgument before anything is sent;
+  /// otherwise every response is read before the first error rethrows.
   ClusterRingReport ring_prefill(const Matrix<float>& q, const Matrix<float>& k,
                                  const Matrix<float>& v, const Csr<float>& mask,
                                  const seqpar::Partition& partition, bool causal, float scale,
@@ -122,7 +125,7 @@ class ClusterClient {
 
   HashRing ring_;
   std::vector<Peer> peers_;
-  std::uint64_t next_ring_id_ = 1;
+  std::vector<float> kv_pack_;  ///< ring_prefill's K/V send buffer, reused
 };
 
 }  // namespace gpa::net

@@ -207,7 +207,7 @@ struct Reader {
   }
   bool bytes(void* dst, std::size_t n) {
     if (!take(n)) return false;
-    std::memcpy(dst, p, n);
+    if (n > 0) std::memcpy(dst, p, n);  // an empty matrix's dst may be null
     p += n;
     return true;
   }

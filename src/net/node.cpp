@@ -1,11 +1,14 @@
 #include "net/node.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <cstdint>
+#include <new>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
-#include "core/kernel_common.hpp"
-#include "core/traversal.hpp"
 #include "obs/trace.hpp"
+#include "seqpar/shard_fold.hpp"
 
 namespace gpa::net {
 
@@ -235,10 +238,7 @@ void NodeService::handle(const RpcRequest& req, RpcResponse& rsp) {
         put_metrics_snapshot(out, reg.snapshot());
         break;
       }
-      case Op::RingStart: rsp.status = ring_start(r); break;
-      case Op::RingFetch: rsp.status = ring_fetch(r, out); break;
-      case Op::RingShard: rsp.status = ring_shard(r); break;
-      case Op::RingFinish: rsp.status = ring_finish(r, out); break;
+      case Op::RingPrefill: rsp.status = ring_prefill(r, out); break;
       case Op::Shutdown: out.u8(1); break;
       default:
         make_error_response(rsp, RpcStatus::Malformed, "unknown op", 0);
@@ -269,137 +269,132 @@ void NodeService::handle(const RpcRequest& req, RpcResponse& rsp) {
 }
 
 // ---------------------------------------------------------------------
-// Ring prefill
+// Ring prefill (body layout and status rules: node.hpp)
 
-RpcStatus NodeService::ring_start(Reader& r) {
-  Ring g;
-  const std::uint64_t rid = r.u64();
-  g.parts = static_cast<Index>(r.u32());
-  g.part = static_cast<Index>(r.u32());
-  if (!get_partition(r, g.partition) || !get_csr(r, g.mask)) return RpcStatus::Malformed;
-  g.causal = r.u8() != 0;
-  g.scale = r.f32();
-  Matrix<float> ks, vs;
-  if (!get_matrix(r, g.q) || !get_matrix(r, ks) || !get_matrix(r, vs) || !r.done()) {
-    return RpcStatus::Malformed;
+namespace {
+
+/// Ceiling on a decoded element count: nothing larger fits in a frame.
+constexpr std::uint64_t kMaxElems = kMaxFramePayload / sizeof(float);
+
+/// `n` elements of T in the body, viewed where the transport copied
+/// them (memcpy or recv, which create the T objects implicitly, as
+/// C++20 [intro.object] lets a byte copy do); nullptr, with the Reader
+/// tripped, when they are not all there or not aligned for T.
+template <typename T>
+const T* view(Reader& r, std::uint64_t n) {
+  if (n > r.remaining() / sizeof(T) || reinterpret_cast<std::uintptr_t>(r.p) % alignof(T) != 0) {
+    r.ok = false;
+    return nullptr;
   }
-  if (g.parts <= 0 || g.part < 0 || g.part >= g.parts ||
-      g.partition.parts() != g.parts || g.mask.rows != g.mask.cols) {
+  const T* p = reinterpret_cast<const T*>(r.p);
+  r.p += n * sizeof(T);
+  return p;
+}
+
+/// A run of shipped K/V columns [begin, end), packed from row `slot` on.
+struct KvRun {
+  Index begin = 0;
+  Index end = 0;
+  Index slot = 0;
+};
+
+/// The packed K/V row of column j, or -1 when j was not shipped.
+Index slot_of(const std::vector<KvRun>& runs, Index j) {
+  const auto it = std::upper_bound(runs.begin(), runs.end(), j,
+                                   [](Index col, const KvRun& run) { return col < run.end; });
+  return it != runs.end() && it->begin <= j ? it->slot + (j - it->begin) : -1;
+}
+
+}  // namespace
+
+RpcStatus NodeService::ring_prefill(Reader& r, Writer& out) {
+  const std::uint32_t part = r.u32();
+  const bool causal = r.u32() != 0;
+  const float scale = r.f32();
+  const Index d = static_cast<Index>(r.u32());
+  seqpar::Partition partition;
+  if (!r.ok || !get_partition(r, partition)) return RpcStatus::Malformed;
+  if (d <= 0 || part >= static_cast<std::uint64_t>(partition.parts())) {
     return RpcStatus::InvalidArgument;
   }
-  g.seq_len = g.mask.rows;
-  g.head_dim = g.q.cols();
-  if (g.head_dim <= 0) return RpcStatus::InvalidArgument;
-  // Wire contract matches AttentionOptions: scale < 0 selects the
-  // 1/sqrt(dk) default — resolved here exactly as the oracle resolves
-  // it, so both sides fold with the same float.
-  g.scale = gpa::detail::resolve_scale(g.scale, g.head_dim);
-  g.row_lo = g.partition.boundaries[static_cast<std::size_t>(g.part)];
-  g.row_hi = g.partition.boundaries[static_cast<std::size_t>(g.part) + 1];
-  if (g.partition.boundaries.back() != g.seq_len || g.q.rows() != g.row_hi - g.row_lo ||
-      ks.rows() != g.row_hi - g.row_lo || !ks.same_shape(vs) || ks.cols() != g.head_dim) {
-    return RpcStatus::InvalidArgument;
+  const Index L = partition.boundaries.back();
+  const Index lo = partition.boundaries[part];
+  const Index rows = partition.boundaries[part + 1] - lo;
+  if (static_cast<std::uint64_t>(rows) > kMaxElems / static_cast<std::uint64_t>(d)) {
+    return RpcStatus::InvalidArgument;  // rows × d overflows any frame
   }
-  g.state.reset(g.row_hi - g.row_lo, g.head_dim);
-  g.k_own = std::move(ks);
-  g.v_own = std::move(vs);
 
-  std::lock_guard<std::mutex> lk(ring_mu_);
-  auto [it, inserted] = rings_.insert_or_assign(rid, std::move(g));
-  (void)inserted;
-  fold_ready(it->second);
-  return RpcStatus::Ok;
-}
+  const std::int64_t mask_rows = r.i64();
+  const std::int64_t mask_cols = r.i64();
+  const std::uint64_t nnz = r.u64();
+  if (!r.ok) return RpcStatus::Malformed;
+  if (mask_rows != rows || mask_cols != L) return RpcStatus::InvalidArgument;
+  const Index* offsets = view<Index>(r, static_cast<std::uint64_t>(rows) + 1);
+  const Index* cols = view<Index>(r, nnz);
+  const float* gates = view<float>(r, nnz);
 
-RpcStatus NodeService::ring_fetch(Reader& r, Writer& out) {
-  const std::uint64_t rid = r.u64();
-  if (!r.ok || !r.done()) return RpcStatus::Malformed;
-  std::lock_guard<std::mutex> lk(ring_mu_);
-  const auto it = rings_.find(rid);
-  if (it == rings_.end()) return RpcStatus::InvalidArgument;
-  const Ring& g = it->second;
-  out.buf.reserve(4 + 2 * (16 + g.k_own.size_bytes()));  // one allocation, no regrowth copies
-  out.u32(static_cast<std::uint32_t>(g.part));
-  put_matrix(out, g.k_own);
-  put_matrix(out, g.v_own);
-  return RpcStatus::Ok;
-}
-
-RpcStatus NodeService::ring_shard(Reader& r) {
-  const std::uint64_t rid = r.u64();
-  const Index idx = static_cast<Index>(r.u32());
-  Matrix<float> ks, vs;
-  if (!r.ok || !get_matrix(r, ks) || !get_matrix(r, vs) || !r.done()) {
-    return RpcStatus::Malformed;
-  }
-  std::lock_guard<std::mutex> lk(ring_mu_);
-  const auto it = rings_.find(rid);
-  if (it == rings_.end()) return RpcStatus::InvalidArgument;
-  Ring& g = it->second;
-  // The node's own shard arrived with RingStart; only the others rotate.
-  if (idx < 0 || idx >= g.parts || idx == g.part ||
-      ks.rows() != g.partition.boundaries[static_cast<std::size_t>(idx) + 1] -
-                       g.partition.boundaries[static_cast<std::size_t>(idx)] ||
-      !ks.same_shape(vs) || ks.cols() != g.head_dim) {
-    return RpcStatus::InvalidArgument;
-  }
-  if (idx >= g.next_fold) g.stash[idx] = {std::move(ks), std::move(vs)};
-  fold_ready(g);
-  return RpcStatus::Ok;
-}
-
-RpcStatus NodeService::ring_finish(Reader& r, Writer& out) {
-  const std::uint64_t rid = r.u64();
-  if (!r.ok || !r.done()) return RpcStatus::Malformed;
-  std::lock_guard<std::mutex> lk(ring_mu_);
-  const auto it = rings_.find(rid);
-  if (it == rings_.end()) return RpcStatus::InvalidArgument;
-  Ring& g = it->second;
-  // Finishing before every shard folded would return partial sums.
-  if (g.next_fold != g.parts) return RpcStatus::InvalidArgument;
-  Matrix<float> o(g.row_hi - g.row_lo, g.head_dim);
-  g.state.finalize_into(o);
-  put_matrix(out, o);
-  out.u64(g.edges);
-  rings_.erase(it);
-  return RpcStatus::Ok;
-}
-
-void NodeService::fold_ready(Ring& g) {
-  while (g.next_fold < g.parts) {
-    if (g.next_fold == g.part) {
-      fold_shard(g, g.part, g.k_own, g.v_own);
-    } else {
-      const auto it = g.stash.find(g.next_fold);
-      if (it == g.stash.end()) return;
-      fold_shard(g, it->first, it->second.first, it->second.second);
-      g.stash.erase(it);  // folded: free the buffered shard
+  const std::uint32_t nruns = r.u32();
+  if (!r.ok || nruns > r.remaining() / 16) return RpcStatus::Malformed;
+  std::vector<KvRun> runs(nruns);
+  Index kv_rows = 0;
+  for (std::size_t x = 0; x < runs.size(); ++x) {
+    const Index begin = r.i64();
+    const Index end = r.i64();
+    if (begin < (x == 0 ? 0 : runs[x - 1].end) || end <= begin || end > L) {
+      return RpcStatus::InvalidArgument;  // unsorted, overlapping, empty or out of range
     }
-    ++g.next_fold;
+    runs[x] = {begin, end, kv_rows};
+    kv_rows += end - begin;
   }
-}
+  if (static_cast<std::uint64_t>(kv_rows) > kMaxElems / static_cast<std::uint64_t>(d)) {
+    return RpcStatus::Malformed;  // more K/V than any frame carries
+  }
+  const float* q = view<float>(r, static_cast<std::uint64_t>(rows * d));
+  const float* k = view<float>(r, static_cast<std::uint64_t>(kv_rows * d));
+  const float* v = view<float>(r, static_cast<std::uint64_t>(kv_rows * d));
+  if (!r.done()) return RpcStatus::Malformed;
 
-void NodeService::fold_shard(Ring& g, Index idx, const Matrix<float>& ks,
-                             const Matrix<float>& vs) {
-  const Index col_lo = g.partition.boundaries[static_cast<std::size_t>(idx)];
-  const Index col_hi = g.partition.boundaries[static_cast<std::size_t>(idx) + 1];
-  const MaskTraversal tr = MaskTraversal::over(g.mask);
-  // Default dispatch: every node runs the same binary on the same
-  // host class as the sim_cluster oracle, so the resolved VecOps arm
-  // (and with it the fold's operation order) matches.
-  const simd::VecOps& vo = simd::ops(ExecPolicy{}.simd);
-  // One enumeration per (row, shard): tiles flush at the shard's end,
-  // exactly as sim_cluster folds the same partition.
-  for (Index i = g.row_lo; i < g.row_hi; ++i) {
-    const Index li = i - g.row_lo;
-    gpa::detail::RowFold<float> fold(vo, g.q.row(li), g.head_dim, g.scale, false, g.state.m(li),
-                                     g.state.l(li), g.state.acc_row(li));
-    tr.for_each_edge_in_cols(i, g.seq_len, g.causal, col_lo, col_hi, [&](Index j, float) {
-      fold.add(ks.row(j - col_lo), vs.row(j - col_lo), 1.0f);
-      ++g.edges;
-    });
-    fold.finish();
+  // A canonical slice (offsets from 0 to nnz, each row's columns
+  // strictly ascending in [0, L)) whose every folded edge was shipped.
+  if (offsets[0] != 0 || static_cast<std::uint64_t>(offsets[rows]) != nnz ||
+      !std::is_sorted(offsets, offsets + rows + 1)) {
+    return RpcStatus::InvalidArgument;
   }
+  for (Index li = 0; li < rows; ++li) {
+    for (Index kk = offsets[li]; kk < offsets[li + 1]; ++kk) {
+      const Index j = cols[kk];
+      if (j < 0 || j >= L || (kk > offsets[li] && j <= cols[kk - 1]) ||
+          (!(causal && j > lo + li) && slot_of(runs, j) < 0)) {
+        return RpcStatus::InvalidArgument;
+      }
+    }
+  }
+
+  // Fold straight into the response body: [rows][d][rows × d][edges].
+  // Default dispatch: every node runs the same binary on the same host
+  // class as the sim_cluster oracle, so the resolved VecOps arm (and
+  // with it the fold's operation order) matches. Wire contract matches
+  // AttentionOptions: scale < 0 selects 1/sqrt(dk), resolved here as
+  // the oracle resolves it.
+  put_matrix_dims(out, rows, d);
+  const std::size_t out_at = out.buf.size();
+  out.buf.resize(out_at + static_cast<std::size_t>(rows * d) * sizeof(float));
+  float* o = new (out.buf.data() + out_at) float[static_cast<std::size_t>(rows * d)];
+  const seqpar::ShardFold fold{simd::ops(ExecPolicy{}.simd), d,
+                              gpa::detail::resolve_scale(scale, d), false, causal,
+                              partition.boundaries.data() + 1};
+  const auto kv = [&](Index j) {
+    const auto at = static_cast<std::size_t>(slot_of(runs, j) * d);
+    return std::pair{k + at, v + at};
+  };
+  Size edges = 0;
+  for (Index li = 0; li < rows; ++li) {
+    const Index b = offsets[li];
+    edges += fold.row(lo + li, q + li * d, cols + b, gates + b, offsets[li + 1] - b, kv,
+                      o + li * d);
+  }
+  out.u64(edges);
+  return RpcStatus::Ok;
 }
 
 }  // namespace gpa::net

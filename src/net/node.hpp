@@ -1,35 +1,34 @@
 #pragma once
 // Node service: the server half of a cluster process. Owns a
 // SessionManager (each node holds only the sessions the hash ring
-// assigns it) and the per-ring prefill state for wire-rotated
-// ring attention.
+// assigns it) and serves ring-prefill parts.
 //
-// Ring prefill bit-identity (the differential gate vs
-// seqpar/sim_cluster): sim_cluster folds each row shard by shard, in
-// ascending column order over the same partition, one row-fold
-// enumeration per (row, shard) — a tile flushes at every shard end.
-// Ring rotation delivers shards in rotated order — node p sees shards
-// p, p+1, ..., P-1, 0, ..., p-1 — so a node folding on arrival would
-// fold columns out of order and drift in the last float bits (the
-// online-softmax fold is order-dependent). Nodes therefore do
-// *deferred in-order folding*: an arriving shard is stashed, and shard
-// s is folded only once shards 0..s-1 have been folded (then freed).
-// Each node then folds exactly sim_cluster's tiles, so the finalized
-// outputs are bit-identical by construction. Peak extra memory is the
-// stash: at most the shards between the fold cursor and the rotation
-// position.
+// Ring prefill is one stateless Op::RingPrefill request per node. It
+// carries the node's Q rows, its row slice of the mask and only the K/V
+// rows that slice references; the response carries its finished rows.
+// Rows fold through seqpar::ShardFold, sim_cluster's fold, so the output
+// is bit-identical to the seqpar/sim_cluster oracle by construction.
+//
+// Request body, little-endian. Every field is a multiple of 4 bytes and
+// the i64 arrays start 8-byte aligned, so the node reads arrays in place:
+//   [part u32][causal u32][scale f32][head_dim u32][partition]
+//   [rows i64 = hi-lo][cols i64 = L][nnz u64]       the mask slice
+//   [offsets (rows+1) × i64][columns nnz × i64][values nnz × f32]
+//   [runs u32][(begin i64, end i64) × runs]  shipped columns: sorted,
+//                                            disjoint, non-empty
+//   [Q (hi-lo) × head_dim f32][K kv × head_dim f32][V kv × head_dim f32]
+// with kv the total run length, rows packed in run order. Response:
+// [rows i64][head_dim i64][output rows f32][edges u64]. A body that does
+// not decode is Malformed; one that breaks a rule (part out of range, a
+// slice of the wrong shape, a non-canonical slice, bad runs, a folded
+// column not shipped) is InvalidArgument — both before any output.
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <utility>
 
-#include "core/state.hpp"
 #include "kvcache/session_manager.hpp"
 #include "net/rpc.hpp"
 #include "obs/metrics.hpp"
-#include "seqpar/partition.hpp"
 #include "sparse/patterns.hpp"
 
 namespace gpa::net {
@@ -90,41 +89,9 @@ class NodeService {
   const kvcache::SessionManager& sessions() const noexcept { return sessions_; }
 
  private:
-  /// In-flight ring-prefill state, keyed by the router's ring id.
-  struct Ring {
-    Index parts = 0;
-    Index part = 0;  ///< this node's index p
-    Index seq_len = 0;
-    Index head_dim = 0;
-    Index row_lo = 0;
-    Index row_hi = 0;
-    bool causal = false;
-    float scale = 1.0f;
-    seqpar::Partition partition;
-    Csr<float> mask;
-    Matrix<float> q;          ///< this node's row slice (local indexing)
-    Matrix<float> k_own, v_own;  ///< the shard this node owns (its fold + RingFetch)
-    SoftmaxState state;       ///< row_hi - row_lo local rows
-    /// Delivered shards of other nodes waiting for their fold turn.
-    std::map<Index, std::pair<Matrix<float>, Matrix<float>>> stash;
-    Index next_fold = 0;      ///< shards 0..next_fold-1 are folded
-    Size edges = 0;
-  };
-
-  RpcStatus ring_start(Reader& r);
-  RpcStatus ring_fetch(Reader& r, Writer& out);
-  RpcStatus ring_shard(Reader& r);
-  RpcStatus ring_finish(Reader& r, Writer& out);
-
-  /// Fold every consecutive available shard starting at the cursor
-  /// (ascending order — see file comment): the own shard, then stashed
-  /// ones.
-  void fold_ready(Ring& g);
-  void fold_shard(Ring& g, Index idx, const Matrix<float>& ks, const Matrix<float>& vs);
+  RpcStatus ring_prefill(Reader& r, Writer& out);
 
   kvcache::SessionManager sessions_;
-  std::mutex ring_mu_;
-  std::map<std::uint64_t, Ring> rings_;
 };
 
 }  // namespace gpa::net

@@ -54,12 +54,9 @@ const char* to_string(Op op) {
     case Op::Prefill: return "prefill";
     case Op::DecodeStep: return "decode-step";
     case Op::ReleaseSession: return "release-session";
-    case Op::RingStart: return "ring-start";
-    case Op::RingFetch: return "ring-fetch";
-    case Op::RingShard: return "ring-shard";
-    case Op::RingFinish: return "ring-finish";
     case Op::Shutdown: return "shutdown";
     case Op::Stats: return "stats";
+    case Op::RingPrefill: return "ring-prefill";
   }
   return "unknown";
 }
@@ -133,36 +130,46 @@ void make_error_response(RpcResponse& rsp, RpcStatus status, const std::string& 
 
 std::vector<std::uint8_t> RpcClient::call(Op op, std::vector<std::uint8_t> body) {
   const ConstBytes part{body.data(), body.size()};
-  return call(op, std::span<const ConstBytes>(&part, 1));
+  return receive(send(op, {&part, 1}));
 }
 
-std::vector<std::uint8_t> RpcClient::call(Op op, std::span<const ConstBytes> body) {
-  // Span name = the op's static string, so a trace shows which RPCs a
-  // client spent its wall-clock in; the latency histogram is the
-  // aggregate view of the same interval.
-  obs::trace::Span span(to_string(op), "net.rpc");
+RpcClient::Pending RpcClient::send(Op op, std::span<const ConstBytes> body) {
   RpcMetrics& rm = RpcMetrics::get();
   rm.calls.inc();
-  const auto t0 = std::chrono::steady_clock::now();
-
-  const std::uint64_t id = next_id_++;
-  if (send_request(t_, id, op, body) != WireStatus::Ok) {
+  Pending p;
+  p.op = op;
+  p.id = next_id_++;
+  p.t0 = std::chrono::steady_clock::now();
+  if (obs::trace::enabled()) p.trace_t0_us = obs::trace::now_us();
+  if (send_request(t_, p.id, op, body) != WireStatus::Ok) {
     rm.transport_failures.inc();
     throw TransportError("rpc: send failed (" + std::string(to_string(op)) + ")");
   }
+  return p;
+}
+
+std::vector<std::uint8_t> RpcClient::receive(const Pending& p) {
+  RpcMetrics& rm = RpcMetrics::get();
   RpcResponse rsp;
   const WireStatus ws = recv_response(t_, rsp);
   if (ws != WireStatus::Ok) {
     rm.transport_failures.inc();
     throw TransportError("rpc: receive failed (" + std::string(to_string(ws)) + ")");
   }
-  if (rsp.id != id) {
+  if (rsp.id != p.id) {
     rm.transport_failures.inc();
     throw TransportError("rpc: response id mismatch — connection desynchronised");
   }
   rm.latency_us.observe(
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
+      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - p.t0)
           .count());
+  // Span name = the op's static string, so a trace shows which RPCs a
+  // client spent its wall-clock in, send to response; the latency
+  // histogram is the aggregate view of the same interval.
+  if (p.trace_t0_us >= 0) {
+    obs::trace::emit_complete(to_string(p.op), "net.rpc", p.trace_t0_us,
+                              obs::trace::now_us() - p.trace_t0_us);
+  }
   if (rsp.status == RpcStatus::Ok) return std::move(rsp.body);
   rm.errors.inc();
 

@@ -12,6 +12,7 @@
 // local API would have thrown — the serving layer's catch sites work
 // unchanged whether the session lives in-process or across a socket.
 
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -27,18 +28,17 @@ inline constexpr std::uint16_t kFrameRequest = 1;
 inline constexpr std::uint16_t kFrameResponse = 2;
 
 /// Operations a node serves. Values are wire format — append only.
+/// Values 6–9 carried the retired four-op relayed ring rotation; a node
+/// answers them as unknown ops, and they are never reused.
 enum class Op : std::uint8_t {
   Ping = 1,
   CreateSession = 2,
   Prefill = 3,
   DecodeStep = 4,
   ReleaseSession = 5,
-  RingStart = 6,   ///< install ring-prefill state + this node's shard
-  RingFetch = 7,   ///< read back the shard this node owns
-  RingShard = 8,   ///< deliver a rotated shard to fold
-  RingFinish = 9,  ///< finalize and return the node's output rows
   Shutdown = 10,
-  Stats = 11,  ///< scrape the node's metrics registry snapshot
+  Stats = 11,        ///< scrape the node's metrics registry snapshot
+  RingPrefill = 12,  ///< fold one part of a ring prefill (net/node.hpp)
 };
 
 /// Wire form of the error taxonomy. Values are wire format — append
@@ -88,15 +88,28 @@ void make_error_response(RpcResponse& rsp, RpcStatus status, const std::string& 
 /// rethrows error statuses as the library's own typed exceptions
 /// (kvcache::SessionNotFound / SessionEvicted / CacheFull,
 /// InvalidArgument, RpcError for the rest); on Ok it returns the
-/// response body.
+/// response body. call() is send() then receive(); a caller sending to
+/// several peers before receiving lets them work concurrently. On one
+/// connection, responses are received in request order.
 class RpcClient {
  public:
   explicit RpcClient(Transport& t) : t_(t) {}
 
+  /// A request on the wire whose response has not been received yet.
+  struct Pending {
+    Op op = Op::Ping;
+    std::uint64_t id = 0;
+    std::chrono::steady_clock::time_point t0;
+    std::int64_t trace_t0_us = -1;  ///< span start; -1 when tracing was off
+  };
+
   std::vector<std::uint8_t> call(Op op, std::vector<std::uint8_t> body);
-  /// call() with the request body given as gather parts (see
-  /// send_request); the parts must stay valid for the call.
-  std::vector<std::uint8_t> call(Op op, std::span<const ConstBytes> body);
+  /// Sends a request whose body is the gather parts (see send_request);
+  /// they need to stay valid only for this call. Throws TransportError
+  /// if the send fails.
+  Pending send(Op op, std::span<const ConstBytes> body);
+  /// Reads the response to `p`, with call()'s errors.
+  std::vector<std::uint8_t> receive(const Pending& p);
 
  private:
   Transport& t_;

@@ -77,4 +77,36 @@ Partition partition_balanced_nnz(Index seq_len, Index parts,
 
 std::vector<Index> degrees_of(const Csr<float>& mask) { return csr_degrees(mask); }
 
+bool is_valid_partition(const Partition& p, Index seq_len) noexcept {
+  const auto& b = p.boundaries;
+  if (p.work.empty() || b.size() != p.work.size() + 1) return false;
+  if (b.front() != 0 || b.back() != seq_len) return false;
+  for (std::size_t i = 1; i < b.size(); ++i) {
+    if (b[i] < b[i - 1]) return false;
+  }
+  return true;
+}
+
+void check_partition(const Partition& p, Index seq_len) {
+  GPA_CHECK(is_valid_partition(p, seq_len),
+            "partition must have parts + 1 monotone boundaries covering [0, L)");
+}
+
+std::vector<Index> referenced_columns(const Csr<float>& mask, Index lo, Index hi, bool causal) {
+  GPA_CHECK(0 <= lo && lo <= hi && hi <= mask.rows, "referenced_columns: row range out of bounds");
+  std::vector<char> seen(static_cast<std::size_t>(mask.cols), 0);
+  for (Index i = lo; i < hi; ++i) {
+    for (Index kk = mask.row_begin(i); kk < mask.row_end(i); ++kk) {
+      const Index j = mask.col_idx[static_cast<std::size_t>(kk)];
+      if (causal && j > i) break;  // columns are sorted
+      seen[static_cast<std::size_t>(j)] = 1;
+    }
+  }
+  std::vector<Index> cols;
+  for (Index j = 0; j < mask.cols; ++j) {
+    if (seen[static_cast<std::size_t>(j)] != 0) cols.push_back(j);
+  }
+  return cols;
+}
+
 }  // namespace gpa::seqpar

@@ -38,4 +38,17 @@ Partition partition_balanced_nnz(Index seq_len, Index parts,
 /// Degrees for a CSR mask (convenience shim over graph/degree).
 std::vector<Index> degrees_of(const Csr<float>& mask);
 
+/// True when `p` splits [0, seq_len) into parts() >= 1 contiguous
+/// ranges: parts() + 1 boundaries, monotone, from 0 to seq_len.
+bool is_valid_partition(const Partition& p, Index seq_len) noexcept;
+
+/// Throws InvalidArgument unless is_valid_partition(p, seq_len). Every
+/// path that indexes boundaries by part calls this first.
+void check_partition(const Partition& p, Index seq_len);
+
+/// The distinct columns that rows [lo, hi) of `mask` reference (only
+/// j <= i under `causal`), ascending: the K/V rows a node owning those
+/// rows folds, and so the rows the wire ring prefill ships it.
+std::vector<Index> referenced_columns(const Csr<float>& mask, Index lo, Index hi, bool causal);
+
 }  // namespace gpa::seqpar

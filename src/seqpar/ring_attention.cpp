@@ -17,9 +17,7 @@ RingReport ring_csr_attention(const Matrix<float>& q, const Matrix<float>& k,
   const Index d = q.cols();
   GPA_CHECK(mask.rows == L && mask.cols == L, "ring: mask shape mismatch");
   GPA_CHECK(out.rows() == L && out.cols() == d, "ring: output shape mismatch");
-  GPA_CHECK(!partition.boundaries.empty() && partition.boundaries.front() == 0 &&
-                partition.boundaries.back() == L,
-            "ring: partition must cover [0, L)");
+  check_partition(partition, L);
   GPA_CHECK(!opts.use_mask_values, "ring: weighted masks not supported");
   const float scale = gpa::detail::resolve_scale(opts.scale, d);
   const simd::VecOps& vo = simd::ops(opts.policy.simd);

@@ -6,10 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/kernel_common.hpp"
-#include "core/state.hpp"
-#include "core/traversal.hpp"
-#include "tensor/softmax.hpp"
+#include "seqpar/shard_fold.hpp"
 
 namespace gpa::seqpar {
 
@@ -21,26 +18,22 @@ ClusterReport distributed_csr_attention(const Matrix<float>& q, const Matrix<flo
   const Index d = q.cols();
   GPA_CHECK(mask.rows == L && mask.cols == L, "distributed: mask shape mismatch");
   GPA_CHECK(out.rows() == L && out.cols() == d, "distributed: output shape mismatch");
-  GPA_CHECK(!partition.boundaries.empty() && partition.boundaries.front() == 0 &&
-                partition.boundaries.back() == L,
-            "partition must cover [0, L)");
-  const float scale = gpa::detail::resolve_scale(opts.scale, d);
-  const simd::VecOps& vo = simd::ops(opts.policy.simd);
-  // THE iteration order: each node folds each of its rows shard by
-  // shard, in ascending column order over the same partition, through
-  // the traversal's column-ranged enumeration — one RowFold per (row,
-  // shard), so tiles flush at every shard end exactly as a wire node's
-  // deferred in-order fold does. That makes this the bitwise oracle of
-  // the wire ring prefill (src/net) on the same partition and arm.
-  const MaskTraversal tr = MaskTraversal::over(mask);
+  check_partition(partition, L);
+  // THE iteration order (seqpar/shard_fold.hpp): each node folds each
+  // of its rows shard by shard, in ascending column order over the same
+  // partition — the fold a wire node runs, which makes this the bitwise
+  // oracle of the wire ring prefill (src/net) on the same partition and
+  // arm.
+  const ShardFold fold{simd::ops(opts.policy.simd), d, gpa::detail::resolve_scale(opts.scale, d),
+                       opts.use_mask_values, opts.causal, partition.boundaries.data() + 1};
   const Index parts = partition.parts();
 
   ClusterReport report;
   report.nodes.resize(static_cast<std::size_t>(parts));
 
   // One thread per node; each node folds its own rows. K/V are shared
-  // read-only here — the gathered_bytes field records what a real
-  // all-gather would ship (full K and V per node, as LongNet does).
+  // read-only here — gathered_bytes records what a node is shipped: the
+  // K and V rows its rows reference, as the wire ring prefill sends.
   std::vector<std::thread> nodes;
   nodes.reserve(report.nodes.size());
   for (Index p = 0; p < parts; ++p) {
@@ -49,24 +42,11 @@ ClusterReport distributed_csr_attention(const Matrix<float>& q, const Matrix<flo
       const Index lo = partition.boundaries[static_cast<std::size_t>(p)];
       const Index hi = partition.boundaries[static_cast<std::size_t>(p) + 1];
       Size edges = 0;
-      std::vector<float> acc(static_cast<std::size_t>(d));
+      const auto kv = [&](Index j) { return std::pair{k.row(j), v.row(j)}; };
       for (Index i = lo; i < hi; ++i) {
-        OnlineSoftmaxRow osr;
-        std::fill(acc.begin(), acc.end(), 0.0f);
-        for (Index shard = 0; shard < parts; ++shard) {
-          gpa::detail::RowFold<float> fold(vo, q.row(i), d, scale, opts.use_mask_values, osr.m,
-                                           osr.l, acc.data());
-          tr.for_each_edge_in_cols(
-              i, L, opts.causal, partition.boundaries[static_cast<std::size_t>(shard)],
-              partition.boundaries[static_cast<std::size_t>(shard) + 1], [&](Index j, float gate) {
-                fold.add(k.row(j), v.row(j), gate);
-                ++edges;
-              });
-          fold.finish();
-        }
-        const float inv = osr.inv_l();
-        float* oi = out.row(i);
-        for (Index x = 0; x < d; ++x) oi[x] = acc[static_cast<std::size_t>(x)] * inv;
+        const Index b = mask.row_begin(i);
+        edges += fold.row(i, q.row(i), mask.col_idx.data() + b, mask.values.data() + b,
+                          mask.row_end(i) - b, kv, out.row(i));
       }
       const auto t1 = std::chrono::steady_clock::now();
       auto& nr = report.nodes[static_cast<std::size_t>(p)];
@@ -75,7 +55,8 @@ ClusterReport distributed_csr_attention(const Matrix<float>& q, const Matrix<flo
       nr.row_end = hi;
       nr.edges = edges;
       nr.seconds = std::chrono::duration<double>(t1 - t0).count();
-      nr.gathered_bytes = 2 * static_cast<Size>(L) * static_cast<Size>(d) * sizeof(float);
+      nr.gathered_bytes = referenced_columns(mask, lo, hi, opts.causal).size() * 2 *
+                          static_cast<Size>(d) * sizeof(float);
     });
   }
   for (auto& t : nodes) t.join();

@@ -3,8 +3,9 @@
 // prefill and decode outputs are bit-identical to the in-process
 // oracles — seqpar/sim_cluster for ring prefill, a local
 // SessionManager for routed decode. This is the non-negotiable gate:
-// if it holds, the wire path (frame codec, RPC, rotation protocol,
-// deferred in-order folding) introduced zero numerical drift.
+// if it holds, the wire path (frame codec, RPC, the RingPrefill
+// request and the node's shard-ordered fold) introduced zero numerical
+// drift.
 //
 // The binary path is injected by CMake as GPA_SERVE_PATH; every
 // network wait has a short timeout, and the ctest registration adds a

@@ -3,11 +3,11 @@
 // malformed input is a typed WireStatus, never UB or a hang), loopback
 // + TCP transports (including the streamed checksum, old-format magic
 // and large gather-write paths), the RPC error taxonomy
-// across a served connection, consistent-hash ring movement, and the
+// across a served connection, consistent-hash ring movement, the
 // cluster differential gates — loopback ring prefill bit-identical to
 // seqpar/sim_cluster, loopback routed decode bit-identical to a local
-// SessionManager. The real multi-process version of the gates lives in
-// test_cluster_e2e (tier2).
+// SessionManager — and hostile RingPrefill bodies. The real
+// multi-process version of the gates lives in test_cluster_e2e (tier2).
 
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 #include "net/rpc.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "seqpar/partition.hpp"
 #include "seqpar/sim_cluster.hpp"
 #include "sparse/build.hpp"
@@ -401,7 +402,7 @@ TEST(Transport, TcpLargeRequestRoundTripsBitExactly) {
   net::WireStatus sent = net::WireStatus::Closed;
   std::thread sender([&, t = client.get()] {
     const net::ConstBytes parts[] = {{head.data(), head.size()}, {tail.data(), tail.size()}};
-    sent = net::send_request(*t, 77, net::Op::RingShard, parts);
+    sent = net::send_request(*t, 77, net::Op::RingPrefill, parts);
   });
   net::RpcRequest got;
   const net::WireStatus ws = net::recv_request(*server, got);
@@ -409,7 +410,7 @@ TEST(Transport, TcpLargeRequestRoundTripsBitExactly) {
   ASSERT_EQ(sent, net::WireStatus::Ok);
   ASSERT_EQ(ws, net::WireStatus::Ok);
   EXPECT_EQ(got.id, 77u);
-  EXPECT_EQ(got.op, net::Op::RingShard);
+  EXPECT_EQ(got.op, net::Op::RingPrefill);
   ASSERT_EQ(got.body.size(), head.size() + tail.size());
   EXPECT_EQ(std::memcmp(got.body.data(), head.data(), head.size()), 0);
   EXPECT_EQ(std::memcmp(got.body.data() + head.size(), tail.data(), tail.size()), 0);
@@ -576,6 +577,27 @@ TEST(HashRing, SpreadsKeysAcrossNodes) {
 // ---------------------------------------------------------------------
 // Differential gates over loopback
 
+/// (node, foreign shard) pairs where the node's rows reference at least
+/// one column of another node's shard, counted by brute force.
+Size foreign_shards_referenced(const Csr<float>& mask, const seqpar::Partition& part,
+                               bool causal) {
+  Size pairs = 0;
+  for (Index p = 0; p < part.parts(); ++p) {
+    for (Index s = 0; s < part.parts(); ++s) {
+      bool hit = false;
+      for (Index i = part.boundaries[p]; i < part.boundaries[p + 1] && !hit; ++i) {
+        for (Index kk = mask.row_begin(i); kk < mask.row_end(i); ++kk) {
+          const Index j = mask.col_idx[static_cast<std::size_t>(kk)];
+          if (causal && j > i) break;
+          hit = hit || (j >= part.boundaries[s] && j < part.boundaries[s + 1]);
+        }
+      }
+      if (s != p && hit) ++pairs;
+    }
+  }
+  return pairs;
+}
+
 TEST(Cluster, RingPrefillBitIdenticalToSimCluster) {
   const Index L = 96, d = 16;
   const auto mask = build_csr_random(L, RandomParams{0.15, 99});
@@ -592,7 +614,7 @@ TEST(Cluster, RingPrefillBitIdenticalToSimCluster) {
       Matrix<float> wire_out;
       const auto rep =
           cluster.client.ring_prefill(q, k, v, mask, part, causal, -1.0f, wire_out);
-      EXPECT_EQ(rep.shard_deliveries, static_cast<Size>(P) * static_cast<Size>(P - 1));
+      EXPECT_EQ(rep.shard_deliveries, foreign_shards_referenced(mask, part, causal));
 
       Matrix<float> oracle(L, d);
       AttentionOptions opts;
@@ -639,42 +661,385 @@ TEST(Cluster, RingPrefillBitIdenticalToSimClusterWhereShardsCutATile) {
   }
 }
 
-TEST(Cluster, RingShardRejectsTheNodesOwnShard) {
-  // A node folds its own shard from RingStart; a RingShard re-delivering
-  // that index is a router bug and gets a typed InvalidArgument.
-  const Index L = 8, d = 4;
-  const auto mask = build_csr_local(L, make_local(2));
-  const auto part = seqpar::partition_balanced_nnz(L, 2, seqpar::degrees_of(mask));
-  const Index rows = part.boundaries[1];
-  Rng rng(4);
-  Matrix<float> q(rows, d), k(rows, d), v(rows, d);
+TEST(Cluster, WireKvRowsMatchSimGatheredBytes) {
+  // One source of truth for shipped K/V: the rows the router ships each
+  // node are the rows sim_cluster's gathered_bytes counts, on random,
+  // banded and causal masks.
+  const Index L = 120, d = 8;
+  Rng rng(8);
+  Matrix<float> q(L, d), k(L, d), v(L, d);
+  fill_uniform(q, rng);
+  fill_uniform(k, rng);
+  fill_uniform(v, rng);
+  for (const auto& mask : {build_csr_random(L, RandomParams{0.05, 5}),
+                           build_csr_local(L, make_local(6))}) {
+    for (const bool causal : {false, true}) {
+      const auto part = seqpar::partition_balanced_nnz(L, 3, seqpar::degrees_of(mask));
+      LoopbackCluster cluster(3);
+      Matrix<float> wire_out, oracle(L, d);
+      const auto rep = cluster.client.ring_prefill(q, k, v, mask, part, causal, -1.0f, wire_out);
+      AttentionOptions opts;
+      opts.causal = causal;
+      const auto sim = seqpar::distributed_csr_attention(q, k, v, mask, part, oracle, opts);
+      ASSERT_EQ(std::memcmp(wire_out.data(), oracle.data(), oracle.size_bytes()), 0);
+      for (std::size_t p = 0; p < sim.nodes.size(); ++p) {
+        EXPECT_EQ(rep.nodes[p].kv_rows * 2 * d * sizeof(float), sim.nodes[p].gathered_bytes)
+            << "node " << p << " causal=" << causal;
+      }
+    }
+  }
+}
+
+TEST(Cluster, BandedRingPrefillShipsUnderHalfTheRelayedRotation) {
+  // The relayed rotation sent every node the whole mask and its Q/K/V
+  // shard, then relayed each foreign shard twice (owner → router →
+  // node); its bytes are bounded below by those terms plus the output.
+  // On a banded mask a node needs its own shard and a halo, so the
+  // one-request protocol must send less than half of that bound.
+  const Index L = 384, d = 32, P = 3;
+  const auto mask = build_csr_local(L, make_local(8));
+  const auto part = seqpar::partition_uniform_rows(L, P, seqpar::degrees_of(mask));
+  Rng rng(9);
+  Matrix<float> q(L, d), k(L, d), v(L, d), out;
+  fill_uniform(q, rng);
+  fill_uniform(k, rng);
+  fill_uniform(v, rng);
+  const double row = static_cast<double>(d) * sizeof(float);
+  const double mask_bytes = 8.0 * (L + 1) + 12.0 * static_cast<double>(mask.nnz());
+  double relay = P * mask_bytes + 4.0 * L * row;  // masks, Q/K/V rows, output rows
+  for (Index p = 0; p < P; ++p) {
+    for (Index s = 0; s < P; ++s) {
+      if (s != p) relay += 2.0 * 2.0 * row * (part.boundaries[s + 1] - part.boundaries[s]);
+    }
+  }
+
+  LoopbackCluster cluster(P);
+  obs::Counter& sent = obs::Registry::global().counter("net.bytes.sent");
+  const std::uint64_t before = sent.value();
+  cluster.client.ring_prefill(q, k, v, mask, part, false, -1.0f, out);
+  const double bytes = static_cast<double>(sent.value() - before);
+  EXPECT_LT(bytes, relay / 2.0) << "sent " << bytes << " bytes; relay bound " << relay;
+}
+
+TEST(Cluster, RingPrefillRejectsInvalidPartitionsBeforeSending) {
+  const Index L = 48, d = 4;
+  const auto mask = build_csr_local(L, make_local(3));
+  Matrix<float> q(L, d), k(L, d), v(L, d), out;
+  Rng rng(10);
+  fill_uniform(q, rng);
+  fill_uniform(k, rng);
+  fill_uniform(v, rng);
+  LoopbackCluster cluster(3);
+  obs::Counter& frames = obs::Registry::global().counter("net.frames.sent");
+  const std::uint64_t before = frames.value();
+
+  seqpar::Partition short_part;  // 3 parts, but only 2 boundaries
+  short_part.boundaries = {0, L};
+  short_part.work = {0, 0, 0};
+  EXPECT_THROW(cluster.client.ring_prefill(q, k, v, mask, short_part, false, -1.0f, out),
+               InvalidArgument);
+  seqpar::Partition backwards;  // covers [0, L) but steps back
+  backwards.boundaries = {0, 30, 20, L};
+  backwards.work = {0, 0, 0};
+  EXPECT_THROW(cluster.client.ring_prefill(q, k, v, mask, backwards, false, -1.0f, out),
+               InvalidArgument);
+  EXPECT_EQ(frames.value(), before);  // nothing went out
+
+  // The connections are untouched: a valid prefill still matches.
+  const auto part = seqpar::partition_balanced_nnz(L, 3, seqpar::degrees_of(mask));
+  cluster.client.ring_prefill(q, k, v, mask, part, false, -1.0f, out);
+  Matrix<float> oracle(L, d);
+  seqpar::distributed_csr_attention(q, k, v, mask, part, oracle);
+  EXPECT_EQ(std::memcmp(out.data(), oracle.data(), oracle.size_bytes()), 0);
+}
+
+TEST(Cluster, RingPrefillDrainsEveryResponseBeforeRethrowing) {
+  // Peer 0 answers its part with a typed error; peers 1 and 2 are real
+  // nodes. The router must read the real nodes' responses before it
+  // rethrows, or their connections would hand the next call a stale
+  // response.
+  const Index L = 60, d = 4;
+  const auto mask = build_csr_local(L, make_local(4));
+  const auto part = seqpar::partition_uniform_rows(L, 3, seqpar::degrees_of(mask));
+  Matrix<float> q(L, d), k(L, d), v(L, d), out;
+  Rng rng(11);
   fill_uniform(q, rng);
   fill_uniform(k, rng);
   fill_uniform(v, rng);
 
-  net::NodeService node(net::NodeConfig{});
-  net::Writer start;
-  start.u64(9);  // ring id
-  start.u32(2);  // parts
-  start.u32(0);  // this node
-  net::put_partition(start, part);
-  net::put_csr(start, mask);
-  start.u8(0);
-  start.f32(-1.0f);
-  net::put_matrix(start, q);
-  net::put_matrix(start, k);
-  net::put_matrix(start, v);
-  net::RpcResponse rsp;
-  node.handle({1, net::Op::RingStart, start.buf}, rsp);
-  ASSERT_EQ(rsp.status, net::RpcStatus::Ok);
+  net::ClusterClient client;
+  auto [client_end, server_end] = net::make_loopback_pair();
+  std::thread refuser([t = std::move(server_end)]() mutable {
+    for (int n = 0; n < 2; ++n) {  // the ring-prefill part, then a ping
+      net::RpcRequest req;
+      ASSERT_EQ(net::recv_request(*t, req), net::WireStatus::Ok);
+      net::RpcResponse rsp;
+      rsp.id = req.id;
+      if (req.op == net::Op::RingPrefill) {
+        net::make_error_response(rsp, net::RpcStatus::InvalidArgument, "refused", 0);
+      } else {
+        net::PingInfo none;
+        net::Writer w;
+        w.u64(none.sessions);
+        w.i64(none.pages_in_use);
+        w.i64(none.pages_free);
+        rsp.body = std::move(w.buf);
+      }
+      ASSERT_EQ(net::send_response(*t, rsp), net::WireStatus::Ok);
+    }
+  });
+  client.add_peer(0, std::move(client_end));
+  std::vector<std::unique_ptr<net::NodeService>> nodes;
+  std::vector<std::thread> threads;
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    auto [c, srv] = net::make_loopback_pair();
+    nodes.push_back(std::make_unique<net::NodeService>(net::NodeConfig{}));
+    threads.emplace_back([svc = nodes.back().get(), t = std::move(srv)]() mutable {
+      svc->serve(*t);
+    });
+    client.add_peer(id, std::move(c));
+  }
 
-  net::Writer own;
-  own.u64(9);
-  own.u32(0);  // shard 0 is this node's own
-  net::put_matrix(own, k);
-  net::put_matrix(own, v);
-  node.handle({2, net::Op::RingShard, own.buf}, rsp);
-  EXPECT_EQ(rsp.status, net::RpcStatus::InvalidArgument);
+  EXPECT_THROW(client.ring_prefill(q, k, v, mask, part, false, -1.0f, out), InvalidArgument);
+  for (const std::uint64_t id : {0u, 1u, 2u}) {
+    EXPECT_EQ(client.ping(id).sessions, 0u) << "peer " << id;  // still in step
+  }
+  refuser.join();
+  client.shutdown_all();
+  for (auto& t : threads) t.join();
+}
+
+TEST(Cluster, RingPrefillNodeSpanIsTraced) {
+  const Index L = 32, d = 4;
+  const auto mask = build_csr_local(L, make_local(3));
+  const auto part = seqpar::partition_uniform_rows(L, 2, seqpar::degrees_of(mask));
+  Matrix<float> q(L, d), k(L, d), v(L, d), out;
+  Rng rng(12);
+  fill_uniform(q, rng);
+  fill_uniform(k, rng);
+  fill_uniform(v, rng);
+  LoopbackCluster cluster(2);
+  obs::trace::reset();
+  obs::trace::set_enabled(true);
+  cluster.client.ring_prefill(q, k, v, mask, part, false, -1.0f, out);
+  obs::trace::set_enabled(false);
+  int node_spans = 0, rpc_spans = 0;
+  for (const auto& e : obs::trace::drain_snapshot()) {
+    if (std::strcmp(e.name, "ring-prefill") != 0) continue;
+    node_spans += std::strcmp(e.cat, "net.node") == 0 ? 1 : 0;
+    rpc_spans += std::strcmp(e.cat, "net.rpc") == 0 ? 1 : 0;
+  }
+  obs::trace::reset();
+  EXPECT_EQ(node_spans, 2);
+  EXPECT_EQ(rpc_spans, 2);
+}
+
+// ---------------------------------------------------------------------
+// Hostile RingPrefill bodies, handed to a node directly
+
+/// A RingPrefill body (layout: net/node.hpp) for part `p` of a valid
+/// ring prefill, with every field open to corruption.
+struct RingBody {
+  std::uint32_t part = 0;
+  std::uint32_t causal = 0;
+  float scale = -1.0f;
+  std::uint32_t d = 0;
+  seqpar::Partition partition;
+  std::int64_t slice_rows = 0;
+  std::int64_t slice_cols = 0;
+  std::vector<Index> offsets, cols;
+  std::vector<float> gates;
+  std::vector<std::pair<Index, Index>> runs;
+  std::vector<float> q, kv;
+
+  RingBody(const Csr<float>& mask, const seqpar::Partition& part_, Index p,
+           const Matrix<float>& qm, const Matrix<float>& km, const Matrix<float>& vm)
+      : part(static_cast<std::uint32_t>(p)), d(static_cast<std::uint32_t>(qm.cols())),
+        partition(part_) {
+    const Index lo = partition.boundaries[p];
+    const Index hi = partition.boundaries[p + 1];
+    slice_rows = hi - lo;
+    slice_cols = mask.cols;
+    const Index e0 = mask.row_begin(lo);
+    for (Index i = lo; i <= hi; ++i) offsets.push_back(mask.row_begin(i) - e0);
+    cols.assign(mask.col_idx.begin() + e0, mask.col_idx.begin() + mask.row_begin(hi));
+    gates.assign(mask.values.begin() + e0, mask.values.begin() + mask.row_begin(hi));
+    const auto ref = seqpar::referenced_columns(mask, lo, hi, false);
+    for (const Index j : ref) {
+      if (!runs.empty() && runs.back().second == j) {
+        ++runs.back().second;
+      } else {
+        runs.emplace_back(j, j + 1);
+      }
+    }
+    q.assign(qm.row(lo), qm.row(hi));
+    for (const auto* m : {&km, &vm}) {
+      for (const Index j : ref) kv.insert(kv.end(), m->row(j), m->row(j + 1));
+    }
+  }
+
+  std::vector<std::uint8_t> encode() const {
+    net::Writer w;
+    w.u32(part);
+    w.u32(causal);
+    w.f32(scale);
+    w.u32(d);
+    net::put_partition(w, partition);
+    w.i64(slice_rows);
+    w.i64(slice_cols);
+    w.u64(cols.size());
+    w.bytes(offsets.data(), offsets.size() * sizeof(Index));
+    w.bytes(cols.data(), cols.size() * sizeof(Index));
+    w.bytes(gates.data(), gates.size() * sizeof(float));
+    w.u32(static_cast<std::uint32_t>(runs.size()));
+    for (const auto& [b, e] : runs) {
+      w.i64(b);
+      w.i64(e);
+    }
+    w.bytes(q.data(), q.size() * sizeof(float));
+    w.bytes(kv.data(), kv.size() * sizeof(float));
+    return std::move(w.buf);
+  }
+};
+
+net::RpcStatus handle_ring(net::NodeService& node, const RingBody& body,
+                           net::RpcResponse* rsp_out = nullptr) {
+  net::RpcResponse rsp;
+  node.handle({1, net::Op::RingPrefill, body.encode()}, rsp);
+  const net::RpcStatus st = rsp.status;
+  if (rsp_out != nullptr) *rsp_out = std::move(rsp);
+  return st;
+}
+
+TEST(Cluster, RingPrefillRejectsHostileBodies) {
+  const Index L = 40, d = 4;
+  const auto mask = build_csr_local(L, make_local(3));
+  const auto part = seqpar::partition_uniform_rows(L, 2, seqpar::degrees_of(mask));
+  Rng rng(13);
+  Matrix<float> q(L, d), k(L, d), v(L, d);
+  fill_uniform(q, rng);
+  fill_uniform(k, rng);
+  fill_uniform(v, rng);
+  net::NodeService node(net::NodeConfig{});
+  const RingBody good(mask, part, 1, q, k, v);
+  ASSERT_EQ(good.runs.size(), 1u);  // a band: [lo - halo, L)
+
+  // The valid body folds node 1's rows exactly as sim_cluster does.
+  net::RpcResponse rsp;
+  ASSERT_EQ(handle_ring(node, good, &rsp), net::RpcStatus::Ok);
+  Matrix<float> oracle(L, d), rows;
+  seqpar::distributed_csr_attention(q, k, v, mask, part, oracle);
+  net::Reader r(rsp.body);
+  ASSERT_TRUE(net::get_matrix(r, rows));
+  ASSERT_EQ(rows.rows(), L / 2);
+  EXPECT_EQ(std::memcmp(rows.data(), oracle.row(L / 2), rows.size_bytes()), 0);
+
+  {  // A referenced column was not shipped: the run starts one late.
+    RingBody b = good;
+    ++b.runs[0].first;
+    b.kv.erase(b.kv.begin() + (b.kv.size() / 2), b.kv.begin() + (b.kv.size() / 2) + d);
+    b.kv.erase(b.kv.begin(), b.kv.begin() + d);
+    EXPECT_EQ(handle_ring(node, b), net::RpcStatus::InvalidArgument);
+  }
+  {  // Unsorted runs: the band split in two, shipped back to front.
+    RingBody b = good;
+    const Index mid = (b.runs[0].first + b.runs[0].second) / 2;
+    b.runs = {{mid, b.runs[0].second}, {b.runs[0].first, mid}};
+    EXPECT_EQ(handle_ring(node, b), net::RpcStatus::InvalidArgument);
+  }
+  {  // Overlapping runs.
+    RingBody b = good;
+    const Index mid = (b.runs[0].first + b.runs[0].second) / 2;
+    b.runs = {{b.runs[0].first, mid + 1}, {mid, b.runs[0].second}};
+    EXPECT_EQ(handle_ring(node, b), net::RpcStatus::InvalidArgument);
+  }
+  {  // A run past the sequence end.
+    RingBody b = good;
+    b.runs[0].second = L + 1;
+    EXPECT_EQ(handle_ring(node, b), net::RpcStatus::InvalidArgument);
+  }
+  {  // A mask slice of the wrong row count.
+    RingBody b = good;
+    b.slice_rows = L / 2 + 1;
+    EXPECT_EQ(handle_ring(node, b), net::RpcStatus::InvalidArgument);
+  }
+  {  // Row offsets that overshoot nnz mid-slice and come back down.
+    RingBody b = good;
+    b.offsets[1] = Index{1} << 40;
+    EXPECT_EQ(handle_ring(node, b), net::RpcStatus::InvalidArgument);
+  }
+  {  // A non-canonical slice: a row's columns out of order.
+    RingBody b = good;
+    std::swap(b.cols[1], b.cols[2]);
+    EXPECT_EQ(handle_ring(node, b), net::RpcStatus::InvalidArgument);
+  }
+  {  // rows × d overflows: 2^33 rows of 2^20 floats.
+    RingBody b = good;
+    b.part = 0;
+    b.d = 1u << 20;
+    b.partition.boundaries = {0, Index{1} << 33};
+    b.partition.work = {0};
+    EXPECT_EQ(handle_ring(node, b), net::RpcStatus::InvalidArgument);
+  }
+  {  // Part index past the partition.
+    RingBody b = good;
+    b.part = 2;
+    EXPECT_EQ(handle_ring(node, b), net::RpcStatus::InvalidArgument);
+  }
+  {  // K/V shorter than the runs promise.
+    RingBody b = good;
+    b.kv.pop_back();
+    EXPECT_EQ(handle_ring(node, b), net::RpcStatus::Malformed);
+  }
+  {  // Truncated mid-slice.
+    net::RpcResponse bad;
+    auto bytes = good.encode();
+    bytes.resize(60);
+    node.handle({1, net::Op::RingPrefill, bytes}, bad);
+    EXPECT_EQ(bad.status, net::RpcStatus::Malformed);
+  }
+}
+
+TEST(Cluster, RingPrefillEmptyPartReturnsZeroRows) {
+  const Index L = 16, d = 4;
+  const auto mask = build_csr_local(L, make_local(2));
+  seqpar::Partition part;
+  part.boundaries = {0, L, L};  // part 1 owns no rows
+  part.work = {0, 0};
+  Rng rng(14);
+  Matrix<float> q(L, d), k(L, d), v(L, d);
+  fill_uniform(q, rng);
+  fill_uniform(k, rng);
+  fill_uniform(v, rng);
+  net::NodeService node(net::NodeConfig{});
+  net::RpcResponse rsp;
+  ASSERT_EQ(handle_ring(node, RingBody(mask, part, 1, q, k, v), &rsp), net::RpcStatus::Ok);
+  net::Reader r(rsp.body);
+  Matrix<float> rows;
+  ASSERT_TRUE(net::get_matrix(r, rows));
+  EXPECT_EQ(rows.rows(), 0);
+  EXPECT_EQ(rows.cols(), d);
+  EXPECT_EQ(r.u64(), 0u);  // no edges
+  EXPECT_TRUE(r.done());
+
+  // End to end, the empty part is one more request with nothing to fold.
+  LoopbackCluster cluster(2);
+  Matrix<float> out, oracle(L, d);
+  const auto rep = cluster.client.ring_prefill(q, k, v, mask, part, false, -1.0f, out);
+  seqpar::distributed_csr_attention(q, k, v, mask, part, oracle);
+  EXPECT_EQ(std::memcmp(out.data(), oracle.data(), oracle.size_bytes()), 0);
+  EXPECT_EQ(rep.nodes[1].kv_rows, 0u);
+  EXPECT_EQ(rep.nodes[1].edges, 0u);
+}
+
+TEST(Cluster, RetiredRingOpsAreUnknown) {
+  // Ops 6–9 carried the relayed rotation; a node answers them Malformed.
+  net::NodeService node(net::NodeConfig{});
+  for (const std::uint8_t op : {6, 7, 8, 9}) {
+    net::RpcResponse rsp;
+    node.handle({1, static_cast<net::Op>(op), {1, 2, 3}}, rsp);
+    EXPECT_EQ(rsp.status, net::RpcStatus::Malformed) << "op " << int{op};
+  }
 }
 
 TEST(Cluster, RoutedDecodeBitIdenticalToLocalSessionManager) {

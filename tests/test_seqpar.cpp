@@ -102,7 +102,9 @@ TEST_P(DistributedAttention, MatchesSingleNodeExactly) {
 
 INSTANTIATE_TEST_SUITE_P(NodeCounts, DistributedAttention, ::testing::Values<Index>(1, 2, 4, 7));
 
-TEST(DistributedAttention2, GatheredBytesModelFullKV) {
+TEST(DistributedAttention2, GatheredBytesCountReferencedRows) {
+  // local(2) over two 32-row parts: part 0 reads columns [0, 33), part 1
+  // reads [31, 64); the causal cut drops part 0's look-ahead column.
   const Index L = 64, d = 8;
   Matrix<float> q(L, d), k(L, d), v(L, d);
   Rng rng(701);
@@ -111,11 +113,43 @@ TEST(DistributedAttention2, GatheredBytesModelFullKV) {
   fill_uniform(v, rng);
   const auto mask = build_csr_local(L, LocalParams{2});
   const auto part = partition_uniform_rows(L, 2, degrees_of(mask));
-  Matrix<float> out(L, d);
-  const auto report = distributed_csr_attention(q, k, v, mask, part, out);
-  for (const auto& nr : report.nodes) {
-    EXPECT_EQ(nr.gathered_bytes, 2u * L * d * sizeof(float));
+  const Size row = 2 * d * sizeof(float);
+  for (const bool causal : {false, true}) {
+    Matrix<float> out(L, d);
+    AttentionOptions opts;
+    opts.causal = causal;
+    const auto report = distributed_csr_attention(q, k, v, mask, part, out, opts);
+    EXPECT_EQ(report.nodes[0].gathered_bytes, (causal ? 32u : 33u) * row);
+    EXPECT_EQ(report.nodes[1].gathered_bytes, 33u * row);
   }
+}
+
+TEST(DistributedAttention2, ReferencedColumnsAreTheDistinctFoldedColumns) {
+  const auto mask = mask_union(build_csr_local(32, LocalParams{2}),
+                               build_csr_global(32, make_global({0, 1}, 32)));
+  // Rows 10..13 reach their band [9, 14] and the global columns 0, 1.
+  EXPECT_EQ(referenced_columns(mask, 10, 14, false),
+            (std::vector<Index>{0, 1, 9, 10, 11, 12, 13, 14}));
+  EXPECT_EQ(referenced_columns(mask, 10, 14, true),
+            (std::vector<Index>{0, 1, 9, 10, 11, 12, 13}));
+  EXPECT_TRUE(referenced_columns(mask, 5, 5, false).empty());
+}
+
+TEST(DistributedAttention2, RejectsShortOrNonMonotoneBoundaries) {
+  const Index L = 32, d = 4;
+  Matrix<float> q(L, d), k(L, d), v(L, d), out(L, d);
+  const auto mask = build_csr_local(L, LocalParams{2});
+  Partition short_part;  // three parts, two boundaries
+  short_part.boundaries = {0, L};
+  short_part.work = {0, 0, 0};
+  EXPECT_FALSE(is_valid_partition(short_part, L));
+  EXPECT_THROW(distributed_csr_attention(q, k, v, mask, short_part, out), InvalidArgument);
+  Partition backwards;
+  backwards.boundaries = {0, 20, 10, L};
+  backwards.work = {0, 0, 0};
+  EXPECT_FALSE(is_valid_partition(backwards, L));
+  EXPECT_THROW(distributed_csr_attention(q, k, v, mask, backwards, out), InvalidArgument);
+  EXPECT_TRUE(is_valid_partition(partition_uniform_rows(L, 3, degrees_of(mask)), L));
 }
 
 TEST(DistributedAttention2, RejectsPartialCover) {

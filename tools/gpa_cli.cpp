@@ -645,10 +645,10 @@ NodeProc spawn_serve(const std::string& bin, Index pages, Index page_size, Index
   return np;
 }
 
-/// Spawns an N-process localhost cluster, runs the wire-rotated ring
-/// prefill, checks it bit-for-bit against the in-process sim_cluster
-/// oracle, then pushes a burst of routed decode steps. Exit 0 only if
-/// the differential gate holds.
+/// Spawns an N-process localhost cluster, runs the wire ring prefill
+/// (one request per node), checks it bit-for-bit against the
+/// in-process sim_cluster oracle, then pushes a burst of routed decode
+/// steps. Exit 0 only if the differential gate holds.
 int cmd_cluster_bench(const Args& args) {
   const Index N = args.get_index("nodes", 2);
   GPA_CHECK(N >= 2 && N <= 8, "cluster-bench: --nodes must be in [2, 8]");
@@ -699,14 +699,13 @@ int cmd_cluster_bench(const Args& args) {
                               static_cast<std::size_t>(d) * sizeof(float)) == 0;
     }
     std::cout << "ring prefill: L=" << L << ", d=" << d << ", nnz=" << mask.nnz()
-              << ", rotated " << rep.shard_deliveries << " shards in " << rep.seconds
-              << " s\n"
+              << ", one request per node in " << rep.seconds << " s\n"
               << "oracle:      " << (identical ? "bit-identical to sim_cluster"
                                                : "MISMATCH vs sim_cluster")
               << "\n";
     for (const auto& nr : rep.nodes) {
       std::cout << "  node " << nr.node_id << ": rows [" << nr.row_begin << ", " << nr.row_end
-                << "), " << nr.edges << " edges, "
+                << "), " << nr.kv_rows << " K/V rows shipped, " << nr.edges << " edges, "
                 << (rep.seconds > 0 ? static_cast<double>(nr.edges) / rep.seconds : 0.0)
                 << " edges/s\n";
     }
