@@ -1,7 +1,8 @@
 #include "net/cluster.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <cstdint>
 #include <exception>
 #include <utility>
 
@@ -159,6 +160,9 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
                                               float scale, Matrix<float>& out) {
   const Index L = q.rows();
   const Index d = q.cols();
+  // Column ids and run bounds travel as u32.
+  GPA_CHECK(static_cast<std::uint64_t>(L) <= UINT32_MAX,
+            "cluster: sequence length exceeds the wire's u32 column ids");
   const Index P = static_cast<Index>(peers_.size());
   GPA_CHECK(P > 0, "cluster: no peers");
   GPA_CHECK(partition.parts() == P, "cluster: partition parts must equal peer count");
@@ -177,11 +181,15 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
   const std::size_t row_bytes = static_cast<std::size_t>(d) * sizeof(float);
 
   // Send every node its request before reading any response, so the
-  // nodes fold concurrently. The mask slice's index and value arrays
-  // and the Q rows go out in place; the referenced K/V rows are packed
-  // into one reused buffer (body layout: net/node.hpp).
+  // nodes fold concurrently. The Q rows go out in place, and so does
+  // each run of referenced K/V rows, as one gather part for K and one
+  // for V; only the column ids are copied, narrowed to u32 (body
+  // layout: net/node.hpp).
   std::vector<RpcClient::Pending> sent;
   sent.reserve(static_cast<std::size_t>(P));
+  std::vector<std::uint32_t> ids;
+  std::vector<std::pair<Index, Index>> spans;  // runs of consecutive columns
+  std::vector<ConstBytes> parts;
   std::exception_ptr first_error;
   try {
     for (Index p = 0; p < P; ++p) {
@@ -199,9 +207,12 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
       head.i64(L);
       head.u64(static_cast<std::uint64_t>(e1 - e0));
       for (Index i = lo; i <= hi; ++i) head.i64(mask.row_begin(i) - e0);
+      ids.resize(static_cast<std::size_t>(e1 - e0));
+      std::transform(mask.col_idx.begin() + e0, mask.col_idx.begin() + e1, ids.begin(),
+                     [](Index j) { return static_cast<std::uint32_t>(j); });
 
       const std::vector<Index> cols = seqpar::referenced_columns(mask, lo, hi, causal);
-      std::vector<std::pair<Index, Index>> spans;  // runs of consecutive columns
+      spans.clear();
       Index shard = 0, counted = -1;
       for (const Index j : cols) {
         if (!spans.empty() && spans.back().second == j) {
@@ -215,29 +226,24 @@ ClusterRingReport ClusterClient::ring_prefill(const Matrix<float>& q, const Matr
           counted = shard;
         }
       }
-      const std::size_t kv_bytes = cols.size() * row_bytes;
-      kv_pack_.resize(2 * kv_bytes / sizeof(float));
-      auto* kp = reinterpret_cast<std::uint8_t*>(kv_pack_.data());
       Writer runs;
       runs.u32(static_cast<std::uint32_t>(spans.size()));
       for (const auto& [b, e] : spans) {
-        runs.i64(b);
-        runs.i64(e);
-        const std::size_t n = static_cast<std::size_t>(e - b) * row_bytes;
-        std::memcpy(kp, k.row(b), n);
-        std::memcpy(kp + kv_bytes, v.row(b), n);
-        kp += n;
+        runs.u32(static_cast<std::uint32_t>(b));
+        runs.u32(static_cast<std::uint32_t>(e));
       }
 
       report.nodes[static_cast<std::size_t>(p)] = {peers_[static_cast<std::size_t>(p)].id, lo,
                                                    hi, 0, cols.size()};
-      const ConstBytes parts[] = {
-          bytes_of(head),
-          {mask.col_idx.data() + e0, static_cast<std::size_t>(e1 - e0) * sizeof(Index)},
-          {mask.values.data() + e0, static_cast<std::size_t>(e1 - e0) * sizeof(float)},
-          bytes_of(runs),
-          {q.row(lo), static_cast<std::size_t>(hi - lo) * row_bytes},
-          {kv_pack_.data(), kv_pack_.size() * sizeof(float)}};
+      parts = {bytes_of(head),
+               {ids.data(), ids.size() * sizeof(std::uint32_t)},
+               bytes_of(runs),
+               {q.row(lo), static_cast<std::size_t>(hi - lo) * row_bytes}};
+      for (const Matrix<float>* m : {&k, &v}) {
+        for (const auto& [b, e] : spans) {
+          parts.push_back({m->row(b), static_cast<std::size_t>(e - b) * row_bytes});
+        }
+      }
       sent.push_back(peers_[static_cast<std::size_t>(p)].rpc->send(Op::RingPrefill, parts));
     }
   } catch (...) {

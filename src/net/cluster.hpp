@@ -125,7 +125,6 @@ class ClusterClient {
 
   HashRing ring_;
   std::vector<Peer> peers_;
-  std::vector<float> kv_pack_;  ///< ring_prefill's K/V send buffer, reused
 };
 
 }  // namespace gpa::net

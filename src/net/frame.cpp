@@ -1,7 +1,5 @@
 #include "net/frame.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "net/crc32c.hpp"
 #include "obs/metrics.hpp"
@@ -136,7 +134,6 @@ WireStatus read_frame(Transport& t, Frame& out) {
 
 WireStatus write_frame_parts(Transport& t, std::uint16_t type, std::uint16_t flags,
                              std::span<const ConstBytes> parts) {
-  GPA_CHECK(parts.size() + 2 <= kMaxGatherParts, "net: too many frame payload parts");
   std::uint64_t len = 0;
   std::uint32_t crc = 0;
   for (const ConstBytes& p : parts) {
@@ -150,11 +147,12 @@ WireStatus write_frame_parts(Transport& t, std::uint16_t type, std::uint16_t fla
   std::uint8_t trailer[kFrameTrailerBytes];
   store_le(trailer, crc, kFrameTrailerBytes);
 
-  ConstBytes wire[kMaxGatherParts];
-  wire[0] = {header, sizeof(header)};
-  std::copy(parts.begin(), parts.end(), wire + 1);
-  wire[parts.size() + 1] = {trailer, sizeof(trailer)};
-  if (!t.send_gather({wire, parts.size() + 2})) return WireStatus::Closed;
+  std::vector<ConstBytes> wire;
+  wire.reserve(parts.size() + 2);
+  wire.push_back({header, sizeof(header)});
+  wire.insert(wire.end(), parts.begin(), parts.end());
+  wire.push_back({trailer, sizeof(trailer)});
+  if (!t.send_gather(wire)) return WireStatus::Closed;
   WireMetrics& wm = WireMetrics::get();
   wm.frames_sent.inc();
   wm.bytes_sent.inc(kFrameHeaderBytes + len + kFrameTrailerBytes);

@@ -93,10 +93,10 @@ WireStatus decode_frame(const std::uint8_t* data, std::size_t n, Frame& out);
 WireStatus write_frame(Transport& t, const Frame& frame);
 WireStatus read_frame(Transport& t, Frame& out);
 
-/// Sends one frame whose payload is the concatenation of `parts` (at
-/// most kMaxGatherParts - 2 of them, non-empty in total, within the
-/// cap) as a single gather write, checksumming the parts in place — the
-/// payload is never joined in memory.
+/// Sends one frame whose payload is the concatenation of `parts`
+/// (any number of them, zero-length ones included; non-empty in total,
+/// within the cap) as a single gather write, checksumming the parts in
+/// place — the payload is never joined in memory.
 WireStatus write_frame_parts(Transport& t, std::uint16_t type, std::uint16_t flags,
                              std::span<const ConstBytes> parts);
 

@@ -330,16 +330,15 @@ RpcStatus NodeService::ring_prefill(Reader& r, Writer& out) {
   if (!r.ok) return RpcStatus::Malformed;
   if (mask_rows != rows || mask_cols != L) return RpcStatus::InvalidArgument;
   const Index* offsets = view<Index>(r, static_cast<std::uint64_t>(rows) + 1);
-  const Index* cols = view<Index>(r, nnz);
-  const float* gates = view<float>(r, nnz);
+  const std::uint32_t* cols = view<std::uint32_t>(r, nnz);
 
   const std::uint32_t nruns = r.u32();
-  if (!r.ok || nruns > r.remaining() / 16) return RpcStatus::Malformed;
+  if (!r.ok || nruns > r.remaining() / 8) return RpcStatus::Malformed;
   std::vector<KvRun> runs(nruns);
   Index kv_rows = 0;
   for (std::size_t x = 0; x < runs.size(); ++x) {
-    const Index begin = r.i64();
-    const Index end = r.i64();
+    const Index begin = r.u32();
+    const Index end = r.u32();
     if (begin < (x == 0 ? 0 : runs[x - 1].end) || end <= begin || end > L) {
       return RpcStatus::InvalidArgument;  // unsorted, overlapping, empty or out of range
     }
@@ -363,7 +362,7 @@ RpcStatus NodeService::ring_prefill(Reader& r, Writer& out) {
   for (Index li = 0; li < rows; ++li) {
     for (Index kk = offsets[li]; kk < offsets[li + 1]; ++kk) {
       const Index j = cols[kk];
-      if (j < 0 || j >= L || (kk > offsets[li] && j <= cols[kk - 1]) ||
+      if (j >= L || (kk > offsets[li] && j <= cols[kk - 1]) ||
           (!(causal && j > lo + li) && slot_of(runs, j) < 0)) {
         return RpcStatus::InvalidArgument;
       }
@@ -390,7 +389,7 @@ RpcStatus NodeService::ring_prefill(Reader& r, Writer& out) {
   Size edges = 0;
   for (Index li = 0; li < rows; ++li) {
     const Index b = offsets[li];
-    edges += fold.row(lo + li, q + li * d, cols + b, gates + b, offsets[li + 1] - b, kv,
+    edges += fold.row(lo + li, q + li * d, cols + b, nullptr, offsets[li + 1] - b, kv,
                       o + li * d);
   }
   out.u64(edges);

@@ -10,18 +10,21 @@
 // is bit-identical to the seqpar/sim_cluster oracle by construction.
 //
 // Request body, little-endian. Every field is a multiple of 4 bytes and
-// the i64 arrays start 8-byte aligned, so the node reads arrays in place:
+// the arrays start aligned for their type, so the node reads them in
+// place:
 //   [part u32][causal u32][scale f32][head_dim u32][partition]
-//   [rows i64 = hi-lo][cols i64 = L][nnz u64]       the mask slice
-//   [offsets (rows+1) × i64][columns nnz × i64][values nnz × f32]
-//   [runs u32][(begin i64, end i64) × runs]  shipped columns: sorted,
+//   [rows i64 = hi-lo][cols i64 = L][nnz u64]       the mask slice's
+//   [offsets (rows+1) × i64][columns nnz × u32]     pattern, no values
+//   [runs u32][(begin u32, end u32) × runs]  shipped columns: sorted,
 //                                            disjoint, non-empty
 //   [Q (hi-lo) × head_dim f32][K kv × head_dim f32][V kv × head_dim f32]
-// with kv the total run length, rows packed in run order. Response:
-// [rows i64][head_dim i64][output rows f32][edges u64]. A body that does
-// not decode is Malformed; one that breaks a rule (part out of range, a
-// slice of the wrong shape, a non-canonical slice, bad runs, a folded
-// column not shipped) is InvalidArgument — both before any output.
+// with kv the total run length, rows packed in run order. Nodes fold
+// every edge with gate 1 (the mask's pattern, not its values), as the
+// ring prefill always has. Response: [rows i64][head_dim i64][output
+// rows f32][edges u64]. A body that does not decode is Malformed; one
+// that breaks a rule (part out of range, a slice of the wrong shape, a
+// non-canonical slice, bad runs, a folded column not shipped) is
+// InvalidArgument — both before any output.
 
 #include <cstdint>
 #include <memory>

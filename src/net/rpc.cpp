@@ -1,6 +1,5 @@
 #include "net/rpc.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/error.hpp"
@@ -71,11 +70,11 @@ WireStatus send_rpc(Transport& t, std::uint16_t type, std::uint64_t id, std::uin
   std::uint8_t prefix[kRpcPrefixBytes];
   for (std::size_t b = 0; b < 8; ++b) prefix[b] = static_cast<std::uint8_t>(id >> (8 * b));
   prefix[8] = code;
-  GPA_CHECK(body.size() + 1 <= kMaxGatherParts, "rpc: too many body parts");
-  ConstBytes parts[kMaxGatherParts];
-  parts[0] = {prefix, sizeof(prefix)};
-  std::copy(body.begin(), body.end(), parts + 1);
-  return write_frame_parts(t, type, 0, {parts, body.size() + 1});
+  std::vector<ConstBytes> parts;
+  parts.reserve(body.size() + 1);
+  parts.push_back({prefix, sizeof(prefix)});
+  parts.insert(parts.end(), body.begin(), body.end());
+  return write_frame_parts(t, type, 0, parts);
 }
 
 /// Reads one RPC frame of `type`; the body lands in `body` in place.

@@ -28,8 +28,9 @@ inline constexpr std::uint16_t kFrameRequest = 1;
 inline constexpr std::uint16_t kFrameResponse = 2;
 
 /// Operations a node serves. Values are wire format — append only.
-/// Values 6–9 carried the retired four-op relayed ring rotation; a node
-/// answers them as unknown ops, and they are never reused.
+/// Retired values are answered as unknown ops and never reused: 6–9
+/// carried the four-op relayed ring rotation, and 12 the ring prefill
+/// body with mask values and i64 column ids.
 enum class Op : std::uint8_t {
   Ping = 1,
   CreateSession = 2,
@@ -38,7 +39,7 @@ enum class Op : std::uint8_t {
   ReleaseSession = 5,
   Shutdown = 10,
   Stats = 11,        ///< scrape the node's metrics registry snapshot
-  RingPrefill = 12,  ///< fold one part of a ring prefill (net/node.hpp)
+  RingPrefill = 13,  ///< fold one part of a ring prefill (net/node.hpp)
 };
 
 /// Wire form of the error taxonomy. Values are wire format — append
@@ -71,8 +72,8 @@ struct RpcResponse {
 // One frame each way. Sends go out as a single gather write of header,
 // [id][op|status] prefix, body and trailer; receives read the body
 // straight into RpcRequest/RpcResponse::body. A request body is given
-// as the concatenation of `body` (at most kMaxGatherParts - 3 parts),
-// never joined in memory.
+// as the concatenation of `body` (any number of parts), never joined
+// in memory.
 WireStatus send_request(Transport& t, std::uint64_t id, Op op,
                         std::span<const ConstBytes> body);
 WireStatus recv_request(Transport& t, RpcRequest& req);

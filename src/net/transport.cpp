@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -37,13 +38,33 @@ bool set_nonblocking(int fd, bool nb) {
 
 }  // namespace
 
-bool Transport::send_gather(std::span<const ConstBytes> parts) {
-  GPA_CHECK(parts.size() <= kMaxGatherParts, "net: too many gather parts");
-  for (const ConstBytes& part : parts) {
-    if (part.size > 0 && !send_all(part.data, part.size)) return false;
+namespace detail {
+
+std::size_t GatherCursor::fill(iovec* iov, std::size_t max) const noexcept {
+  std::size_t count = 0;
+  std::size_t off = off_;
+  for (std::size_t x = part_; x < parts_.size() && count < max; ++x, off = 0) {
+    if (parts_[x].size == off) continue;
+    iov[count++] = {static_cast<std::uint8_t*>(const_cast<void*>(parts_[x].data)) + off,
+                    parts_[x].size - off};
   }
-  return true;
+  return count;
 }
+
+void GatherCursor::advance(std::size_t n) noexcept {
+  for (;;) {
+    while (part_ < parts_.size() && off_ == parts_[part_].size) {
+      ++part_;
+      off_ = 0;
+    }
+    if (n == 0 || part_ == parts_.size()) return;
+    const std::size_t step = std::min(n, parts_[part_].size - off_);
+    off_ += step;
+    n -= step;
+  }
+}
+
+}  // namespace detail
 
 // ---------------------------------------------------------------------
 // TcpTransport
@@ -97,37 +118,20 @@ std::unique_ptr<TcpTransport> TcpTransport::connect(const std::string& host, std
 
 TcpTransport::~TcpTransport() { close(); }
 
-bool TcpTransport::send_all(const void* data, std::size_t n) {
-  const ConstBytes part{data, n};
-  return send_gather({&part, 1});
-}
-
 bool TcpTransport::send_gather(std::span<const ConstBytes> parts) {
-  GPA_CHECK(parts.size() <= kMaxGatherParts, "net: too many gather parts");
-  iovec iov[kMaxGatherParts];
-  std::size_t count = 0;
-  for (const ConstBytes& part : parts) {
-    if (part.size > 0) iov[count++] = {const_cast<void*>(part.data), part.size};
-  }
-  std::size_t next = 0;  // first iovec with bytes left to send
-  while (next < count) {
+  detail::GatherCursor cursor(parts);
+  iovec iov[IOV_MAX];  // sendmsg takes at most IOV_MAX ranges per call
+  while (!cursor.done()) {
     msghdr msg{};
-    msg.msg_iov = iov + next;
-    msg.msg_iovlen = count - next;
+    msg.msg_iov = iov;
+    msg.msg_iovlen = cursor.fill(iov, IOV_MAX);
     // MSG_NOSIGNAL: a closed peer must surface as EPIPE, not SIGPIPE.
     const ssize_t sent = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) continue;
       return false;  // includes EAGAIN from SO_SNDTIMEO expiry
     }
-    // A partial send stops anywhere: skip the parts it finished and
-    // resume mid-part.
-    auto done = static_cast<std::size_t>(sent);
-    while (next < count && done >= iov[next].iov_len) done -= iov[next++].iov_len;
-    if (done > 0) {
-      iov[next].iov_base = static_cast<std::uint8_t*>(iov[next].iov_base) + done;
-      iov[next].iov_len -= done;
-    }
+    cursor.advance(static_cast<std::size_t>(sent));
   }
   return true;
 }
@@ -215,10 +219,14 @@ struct Channel {
   std::deque<std::uint8_t> bytes;
   bool closed = false;
 
-  bool write(const std::uint8_t* p, std::size_t n) {
+  /// Appends the parts under one lock and wakes the reader once.
+  bool write(std::span<const ConstBytes> parts) {
     std::lock_guard<std::mutex> lk(mu);
     if (closed) return false;
-    bytes.insert(bytes.end(), p, p + n);
+    for (const ConstBytes& part : parts) {
+      const auto* p = static_cast<const std::uint8_t*>(part.data);
+      bytes.insert(bytes.end(), p, p + part.size);
+    }
     cv.notify_all();
     return true;
   }
@@ -250,9 +258,7 @@ class LoopbackTransport final : public Transport {
       : out_(std::move(out)), in_(std::move(in)) {}
   ~LoopbackTransport() override { close(); }
 
-  bool send_all(const void* data, std::size_t n) override {
-    return out_->write(static_cast<const std::uint8_t*>(data), n);
-  }
+  bool send_gather(std::span<const ConstBytes> parts) override { return out_->write(parts); }
   bool recv_exact(void* data, std::size_t n) override {
     return in_->read_exact(static_cast<std::uint8_t*>(data), n);
   }

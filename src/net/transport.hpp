@@ -22,6 +22,8 @@
 #include <string>
 #include <utility>
 
+#include <sys/uio.h>
+
 #include "common/types.hpp"
 
 namespace gpa::net {
@@ -34,21 +36,43 @@ struct ConstBytes {
   std::size_t size = 0;
 };
 
-/// Most parts one send_gather takes. A frame is a handful of parts
-/// (header, RPC prefix, a few body ranges, trailer), so callers build
-/// the part list on the stack instead of allocating it per frame.
-inline constexpr std::size_t kMaxGatherParts = 16;
+namespace detail {
+
+/// The first byte of a gather list not yet sent. TcpTransport fills
+/// each sendmsg from it and advances it by what the call sent, which
+/// can end anywhere, mid-part included. Zero-length parts are skipped.
+class GatherCursor {
+ public:
+  explicit GatherCursor(std::span<const ConstBytes> parts) : parts_(parts) { advance(0); }
+
+  bool done() const noexcept { return part_ == parts_.size(); }
+  /// Writes the next (at most `max` >= 1) non-empty ranges to `iov`,
+  /// the first one starting at the cursor; returns how many.
+  std::size_t fill(iovec* iov, std::size_t max) const noexcept;
+  /// Moves the cursor past `n` bytes (at most what is left).
+  void advance(std::size_t n) noexcept;
+
+ private:
+  std::span<const ConstBytes> parts_;
+  std::size_t part_ = 0;
+  std::size_t off_ = 0;  ///< bytes of parts_[part_] already sent
+};
+
+}  // namespace detail
 
 class Transport {
  public:
   virtual ~Transport() = default;
 
   /// Sends all n bytes; false on peer close / error / send timeout.
-  virtual bool send_all(const void* data, std::size_t n) = 0;
-  /// Sends the parts (at most kMaxGatherParts) back to back, as if
-  /// concatenated; false as for send_all. The default sends each part
-  /// with send_all; TCP overrides it with one sendmsg over all parts.
-  virtual bool send_gather(std::span<const ConstBytes> parts);
+  bool send_all(const void* data, std::size_t n) {
+    const ConstBytes part{data, n};
+    return send_gather({&part, 1});
+  }
+  /// Sends the parts back to back, as if concatenated; false as for
+  /// send_all. Zero-length parts are skipped. TCP sends them with
+  /// sendmsg, up to IOV_MAX parts at a time.
+  virtual bool send_gather(std::span<const ConstBytes> parts) = 0;
   /// Receives exactly n bytes; false on EOF / error / receive timeout.
   virtual bool recv_exact(void* data, std::size_t n) = 0;
   /// Idempotent; unblocks any peer blocked in recv_exact.
@@ -71,7 +95,6 @@ class TcpTransport final : public Transport {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
-  bool send_all(const void* data, std::size_t n) override;
   bool send_gather(std::span<const ConstBytes> parts) override;
   bool recv_exact(void* data, std::size_t n) override;
   void close() override;

@@ -27,14 +27,16 @@ struct ShardFold {
   /// shard_ends[s]. Every folded column must be below the last entry.
   const Index* shard_ends = nullptr;
 
-  /// Folds row i: its ascending columns cols[0..n) with gates[0..n),
-  /// stopping under `causal` at the first column past i. `kv(j)`
-  /// returns the K and V rows of column j as a pair of pointers and is
-  /// called in ascending j. Writes the finished output row to `out`
-  /// (head_dim floats, zero for a row with no edge) and returns the
-  /// number of edges folded.
-  template <typename KvRows>
-  Size row(Index i, const float* q, const Index* cols, const float* gates, Index n, KvRows&& kv,
+  /// Folds row i: its ascending columns cols[0..n) with gates[0..n)
+  /// (a null `gates` means every gate is 1.0f), stopping under `causal`
+  /// at the first column past i. Columns come as Index (sim_cluster,
+  /// straight from the CSR) or as the wire's u32. `kv(j)` returns the K
+  /// and V rows of column j as a pair of pointers and is called in
+  /// ascending j. Writes the finished output row to `out` (head_dim
+  /// floats, zero for a row with no edge) and returns the number of
+  /// edges folded.
+  template <typename Col, typename KvRows>
+  Size row(Index i, const float* q, const Col* cols, const float* gates, Index n, KvRows&& kv,
            float* out) const {
     std::fill(out, out + head_dim, 0.0f);
     OnlineSoftmaxRow osr;
@@ -42,14 +44,14 @@ struct ShardFold {
     const Index* shard_end = shard_ends;
     Index e = 0;
     for (; e < n; ++e) {
-      const Index j = cols[e];
+      const auto j = static_cast<Index>(cols[e]);
       if (causal && j > i) break;  // columns ascend: the rest lie in the future
       while (j >= *shard_end) {
         fold.finish();
         ++shard_end;
       }
       const std::pair<const float*, const float*> kv_row = kv(j);
-      fold.add(kv_row.first, kv_row.second, gates[e]);
+      fold.add(kv_row.first, kv_row.second, gates != nullptr ? gates[e] : 1.0f);
     }
     fold.finish();
     const float inv = osr.inv_l();

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -122,6 +124,46 @@ TEST(Crc32c, ExtendOverPartsEqualsOnePass) {
     const std::uint32_t pa = net::detail::crc32c_portable(0, buf.data(), cut);
     EXPECT_EQ(net::detail::crc32c_portable(pa, buf.data() + cut, buf.size() - cut), whole)
         << cut;
+  }
+}
+
+/// Lengths around the SSE4.2 arm's block edges: three 256-byte chains,
+/// three 8192-byte chains, and a buffer that takes two long triples,
+/// one short triple and a 7-byte tail.
+std::vector<std::size_t> crc_block_edges() {
+  std::vector<std::size_t> lengths;
+  for (const std::size_t edge : {std::size_t{3 * 256}, std::size_t{3 * 8192}}) {
+    for (std::size_t n = edge - 8; n <= edge + 8; ++n) lengths.push_back(n);
+  }
+  lengths.push_back(2 * 3 * 8192 + 3 * 256 + 7);
+  return lengths;
+}
+
+TEST(Crc32c, DispatchedArmMatchesPortableAtBlockEdges) {
+  Rng rng(9);
+  std::vector<std::uint8_t> buf(2 * 3 * 8192 + 3 * 256 + 7 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (const std::size_t n : crc_block_edges()) {
+    for (std::size_t align = 0; align < 8; ++align) {
+      const std::uint8_t* p = buf.data() + align;
+      for (const std::uint32_t seed : {0u, 0x9E3779B9u}) {
+        ASSERT_EQ(net::crc32c_extend(seed, p, n), net::detail::crc32c_portable(seed, p, n))
+            << "n=" << n << " align=" << align << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32c, ExtendSplitAtBlockEdgesEqualsOnePass) {
+  Rng rng(10);
+  std::vector<std::uint8_t> buf(2 * 3 * 8192 + 3 * 256 + 7);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  const std::uint32_t whole = net::detail::crc32c_portable(0, buf.data(), buf.size());
+  ASSERT_EQ(net::crc32c_extend(0, buf.data(), buf.size()), whole);
+  for (const std::size_t cut : crc_block_edges()) {
+    if (cut > buf.size()) continue;
+    const std::uint32_t a = net::crc32c_extend(0, buf.data(), cut);
+    EXPECT_EQ(net::crc32c_extend(a, buf.data() + cut, buf.size() - cut), whole) << cut;
   }
 }
 
@@ -414,6 +456,86 @@ TEST(Transport, TcpLargeRequestRoundTripsBitExactly) {
   ASSERT_EQ(got.body.size(), head.size() + tail.size());
   EXPECT_EQ(std::memcmp(got.body.data(), head.data(), head.size()), 0);
   EXPECT_EQ(std::memcmp(got.body.data() + head.size(), tail.data(), tail.size()), 0);
+}
+
+/// More parts than one sendmsg takes (IOV_MAX), every fifth one empty,
+/// and their concatenation.
+struct ManyParts {
+  std::vector<std::vector<std::uint8_t>> storage;
+  std::vector<net::ConstBytes> parts;
+  std::vector<std::uint8_t> joined;
+
+  ManyParts() {
+    Rng rng(16);
+    storage.resize(3 * IOV_MAX + 17);
+    for (std::size_t x = 0; x < storage.size(); ++x) {
+      storage[x].resize(x % 5 == 0 ? 0 : 1 + rng.next_u64() % 2047);
+      for (auto& b : storage[x]) b = static_cast<std::uint8_t>(rng.next_u64());
+      parts.push_back({storage[x].data(), storage[x].size()});
+      joined.insert(joined.end(), storage[x].begin(), storage[x].end());
+    }
+  }
+};
+
+TEST(Transport, GatherCursorResumesWhereAPartialSendStopped) {
+  // Drain the cursor as TcpTransport does, with a send that takes a
+  // random prefix of each batch: the bytes come out in order whether a
+  // send stops mid-part, on a part edge or at the batch end.
+  const ManyParts mp;
+  Rng rng(17);
+  for (const std::size_t batch : {std::size_t{IOV_MAX}, std::size_t{5}}) {
+    net::detail::GatherCursor cursor(mp.parts);
+    std::vector<iovec> iov(batch);
+    std::vector<std::uint8_t> got;
+    int mid_part = 0;
+    while (!cursor.done()) {
+      const std::size_t count = cursor.fill(iov.data(), batch);
+      ASSERT_GE(count, 1u);
+      ASSERT_LE(count, batch);
+      std::size_t total = 0;
+      for (std::size_t x = 0; x < count; ++x) {
+        ASSERT_GT(iov[x].iov_len, 0u);  // empty parts never reach sendmsg
+        total += iov[x].iov_len;
+      }
+      std::size_t sent = rng.next_u64() % 2 == 0 ? total : 1 + rng.next_u64() % total;
+      for (std::size_t x = 0, left = sent; left > 0; ++x) {
+        const std::size_t take = std::min(left, iov[x].iov_len);
+        const auto* p = static_cast<const std::uint8_t*>(iov[x].iov_base);
+        got.insert(got.end(), p, p + take);
+        mid_part += take < iov[x].iov_len ? 1 : 0;
+        left -= take;
+      }
+      cursor.advance(sent);
+    }
+    EXPECT_GT(mid_part, 0) << batch;
+    EXPECT_EQ(got, mp.joined) << batch;
+  }
+  net::detail::GatherCursor none(std::span<const net::ConstBytes>{mp.parts.data(), 1});
+  EXPECT_TRUE(none.done());  // part 0 is empty
+}
+
+TEST(Transport, GatherOfMoreThanIovMaxPartsRoundTrips) {
+  // Through send_request, so the frame layer prepends and appends its
+  // own parts and checksums all of them, over both transport arms.
+  const ManyParts mp;
+  auto [tcp_client, tcp_server] = tcp_pair();
+  ASSERT_NE(tcp_client, nullptr);
+  ASSERT_NE(tcp_server, nullptr);
+  auto [loop_client, loop_server] = net::make_loopback_pair();
+  const std::pair<net::Transport*, net::Transport*> arms[] = {
+      {tcp_client.get(), tcp_server.get()}, {loop_client.get(), loop_server.get()}};
+  for (const auto& [client, server] : arms) {
+    net::WireStatus sent = net::WireStatus::Closed;
+    std::thread sender(
+        [&, t = client] { sent = net::send_request(*t, 78, net::Op::Ping, mp.parts); });
+    net::RpcRequest got;
+    const net::WireStatus ws = net::recv_request(*server, got);
+    sender.join();
+    ASSERT_EQ(sent, net::WireStatus::Ok);
+    ASSERT_EQ(ws, net::WireStatus::Ok);
+    EXPECT_EQ(got.id, 78u);
+    EXPECT_TRUE(got.body == mp.joined);
+  }
 }
 
 TEST(Transport, TcpAcceptTimesOutCleanly) {
@@ -753,6 +875,61 @@ TEST(Cluster, RingPrefillRejectsInvalidPartitionsBeforeSending) {
   EXPECT_EQ(std::memcmp(out.data(), oracle.data(), oracle.size_bytes()), 0);
 }
 
+TEST(Cluster, RingPrefillRefusesLengthsPastU32BeforeSending) {
+  // Column ids travel as u32, so a sequence longer than UINT32_MAX is
+  // refused before any frame goes out. Zero-width rows keep the inputs
+  // empty.
+  const Index L = Index{UINT32_MAX} + 1;
+  Matrix<float> q(L, 0), k(L, 0), v(L, 0), out;
+  Csr<float> mask;
+  seqpar::Partition part;
+  part.boundaries = {0, L};
+  part.work = {0};
+  LoopbackCluster cluster(1);
+  obs::Counter& frames = obs::Registry::global().counter("net.frames.sent");
+  const std::uint64_t before = frames.value();
+  EXPECT_THROW(cluster.client.ring_prefill(q, k, v, mask, part, false, -1.0f, out),
+               InvalidArgument);
+  EXPECT_EQ(frames.value(), before);
+}
+
+TEST(Cluster, BandedRingPrefillBytesArePinned) {
+  // Every byte of a ring prefill, from the body layout (net/node.hpp):
+  // per node, a request of head + 4·nnz + runs + Q + 2·kv_rows·d·4 and
+  // a response of its output rows, each behind the RPC prefix and the
+  // frame header and trailer. On a band each node's columns are one run.
+  const Index L = 384, d = 32, P = 3;
+  const auto mask = build_csr_local(L, make_local(8));
+  const auto part = seqpar::partition_uniform_rows(L, P, seqpar::degrees_of(mask));
+  Rng rng(18);
+  Matrix<float> q(L, d), k(L, d), v(L, d), out;
+  fill_uniform(q, rng);
+  fill_uniform(k, rng);
+  fill_uniform(v, rng);
+  LoopbackCluster cluster(P);
+  obs::Counter& sent = obs::Registry::global().counter("net.bytes.sent");
+  const std::uint64_t before = sent.value();
+  const auto rep = cluster.client.ring_prefill(q, k, v, mask, part, false, -1.0f, out);
+  const std::uint64_t bytes = sent.value() - before;
+
+  const std::uint64_t framing = net::kFrameHeaderBytes + 9 + net::kFrameTrailerBytes;
+  const std::uint64_t row = d * sizeof(float);
+  const std::uint64_t partition = (4 + 8 * (P + 1)) + (4 + 8 * P);
+  std::uint64_t want = 0;
+  for (Index p = 0; p < P; ++p) {
+    const Index lo = part.boundaries[p];
+    const Index hi = part.boundaries[p + 1];
+    const auto rows = static_cast<std::uint64_t>(hi - lo);
+    const auto nnz = static_cast<std::uint64_t>(mask.row_begin(hi) - mask.row_begin(lo));
+    const std::uint64_t kv_rows = rep.nodes[p].kv_rows;
+    EXPECT_EQ(kv_rows, seqpar::referenced_columns(mask, lo, hi, false).size());
+    const std::uint64_t head = 16 + partition + 24 + 8 * (rows + 1);
+    want += framing + head + 4 * nnz + (4 + 8 * 1) + rows * row + 2 * kv_rows * row;
+    want += framing + 16 + rows * row + 8;
+  }
+  EXPECT_EQ(bytes, want);
+}
+
 TEST(Cluster, RingPrefillDrainsEveryResponseBeforeRethrowing) {
   // Peer 0 answers its part with a typed error; peers 1 and 2 are real
   // nodes. The router must read the real nodes' responses before it
@@ -847,9 +1024,10 @@ struct RingBody {
   seqpar::Partition partition;
   std::int64_t slice_rows = 0;
   std::int64_t slice_cols = 0;
-  std::vector<Index> offsets, cols;
-  std::vector<float> gates;
-  std::vector<std::pair<Index, Index>> runs;
+  std::uint64_t nnz = 0;  ///< the stated edge count; cols.size() when valid
+  std::vector<Index> offsets;
+  std::vector<std::uint32_t> cols;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
   std::vector<float> q, kv;
 
   RingBody(const Csr<float>& mask, const seqpar::Partition& part_, Index p,
@@ -862,14 +1040,16 @@ struct RingBody {
     slice_cols = mask.cols;
     const Index e0 = mask.row_begin(lo);
     for (Index i = lo; i <= hi; ++i) offsets.push_back(mask.row_begin(i) - e0);
-    cols.assign(mask.col_idx.begin() + e0, mask.col_idx.begin() + mask.row_begin(hi));
-    gates.assign(mask.values.begin() + e0, mask.values.begin() + mask.row_begin(hi));
+    for (Index kk = e0; kk < mask.row_begin(hi); ++kk) {
+      cols.push_back(static_cast<std::uint32_t>(mask.col_idx[static_cast<std::size_t>(kk)]));
+    }
+    nnz = cols.size();
     const auto ref = seqpar::referenced_columns(mask, lo, hi, false);
     for (const Index j : ref) {
       if (!runs.empty() && runs.back().second == j) {
         ++runs.back().second;
       } else {
-        runs.emplace_back(j, j + 1);
+        runs.emplace_back(static_cast<std::uint32_t>(j), static_cast<std::uint32_t>(j + 1));
       }
     }
     q.assign(qm.row(lo), qm.row(hi));
@@ -878,7 +1058,9 @@ struct RingBody {
     }
   }
 
-  std::vector<std::uint8_t> encode() const {
+  /// Everything before the columns: the fields the old and new layouts
+  /// share.
+  net::Writer head() const {
     net::Writer w;
     w.u32(part);
     w.u32(causal);
@@ -887,10 +1069,30 @@ struct RingBody {
     net::put_partition(w, partition);
     w.i64(slice_rows);
     w.i64(slice_cols);
-    w.u64(cols.size());
+    w.u64(nnz);
     w.bytes(offsets.data(), offsets.size() * sizeof(Index));
-    w.bytes(cols.data(), cols.size() * sizeof(Index));
-    w.bytes(gates.data(), gates.size() * sizeof(float));
+    return w;
+  }
+
+  std::vector<std::uint8_t> encode() const {
+    net::Writer w = head();
+    w.bytes(cols.data(), cols.size() * sizeof(std::uint32_t));
+    w.u32(static_cast<std::uint32_t>(runs.size()));
+    for (const auto& [b, e] : runs) {
+      w.u32(b);
+      w.u32(e);
+    }
+    w.bytes(q.data(), q.size() * sizeof(float));
+    w.bytes(kv.data(), kv.size() * sizeof(float));
+    return std::move(w.buf);
+  }
+
+  /// The layout retired op 12 carried: i64 column ids, the mask's
+  /// values (all 1 here) and i64 run bounds.
+  std::vector<std::uint8_t> encode_retired() const {
+    net::Writer w = head();
+    for (const std::uint32_t j : cols) w.i64(j);
+    for (std::size_t x = 0; x < cols.size(); ++x) w.f32(1.0f);
     w.u32(static_cast<std::uint32_t>(runs.size()));
     for (const auto& [b, e] : runs) {
       w.i64(b);
@@ -973,6 +1175,24 @@ TEST(Cluster, RingPrefillRejectsHostileBodies) {
     std::swap(b.cols[1], b.cols[2]);
     EXPECT_EQ(handle_ring(node, b), net::RpcStatus::InvalidArgument);
   }
+  {  // A column id at or past L, still ascending in its row; and the
+     // largest u32.
+    for (const std::uint32_t bad : {static_cast<std::uint32_t>(L), UINT32_MAX}) {
+      RingBody b = good;
+      b.cols.back() = bad;
+      EXPECT_EQ(handle_ring(node, b), net::RpcStatus::InvalidArgument) << bad;
+    }
+  }
+  {  // An nnz that promises one id more than the bytes after the
+     // offsets hold, and one whose byte count overflows 64 bits.
+    const std::uint64_t left_words =
+        good.nnz + 1 + 2 * good.runs.size() + good.q.size() + good.kv.size();
+    for (const std::uint64_t nnz : {left_words + 1, std::uint64_t{1} << 62}) {
+      RingBody b = good;
+      b.nnz = nnz;
+      EXPECT_EQ(handle_ring(node, b), net::RpcStatus::Malformed) << nnz;
+    }
+  }
   {  // rows × d overflows: 2^33 rows of 2^20 floats.
     RingBody b = good;
     b.part = 0;
@@ -1040,6 +1260,25 @@ TEST(Cluster, RetiredRingOpsAreUnknown) {
     node.handle({1, static_cast<net::Op>(op), {1, 2, 3}}, rsp);
     EXPECT_EQ(rsp.status, net::RpcStatus::Malformed) << "op " << int{op};
   }
+
+  // Op 12 carried the ring prefill body with mask values and i64 ids: a
+  // well-formed body in that layout is an unknown op, not a fold.
+  const Index L = 40, d = 4;
+  const auto mask = build_csr_local(L, make_local(3));
+  const auto part = seqpar::partition_uniform_rows(L, 2, seqpar::degrees_of(mask));
+  Rng rng(15);
+  Matrix<float> q(L, d), k(L, d), v(L, d);
+  fill_uniform(q, rng);
+  fill_uniform(k, rng);
+  fill_uniform(v, rng);
+  net::RpcResponse rsp;
+  node.handle({1, static_cast<net::Op>(12), RingBody(mask, part, 1, q, k, v).encode_retired()},
+              rsp);
+  EXPECT_EQ(rsp.status, net::RpcStatus::Malformed);
+  net::Reader r(rsp.body);
+  std::string detail;
+  ASSERT_TRUE(net::get_string(r, detail));
+  EXPECT_EQ(detail, "unknown op");
 }
 
 TEST(Cluster, RoutedDecodeBitIdenticalToLocalSessionManager) {
