@@ -7,9 +7,7 @@ namespace gpa::kvcache {
 
 namespace {
 
-// Registry mirrors of PrefixIndex::Stats, bumped at the same sites as
-// the locked st_ fields so a scrape and a stats() read tell one story
-// (hits + misses == lookups holds in both views).
+// The prompt cache's counters (hits + misses == lookups).
 struct PrefixMetrics {
   obs::Counter& lookups;
   obs::Counter& hits;
@@ -34,7 +32,6 @@ struct PrefixMetrics {
 
 Index PrefixIndex::acquire(std::uint64_t chain, BlockPool& pool) {
   std::lock_guard<std::mutex> lk(mu_);
-  ++st_.lookups;
   PrefixMetrics::get().lookups.inc();
   const auto it = by_chain_.find(chain);
   if (it == by_chain_.end()) {
@@ -44,7 +41,6 @@ Index PrefixIndex::acquire(std::uint64_t chain, BlockPool& pool) {
   // Retain while still under mu_: the index's own reference keeps the
   // page live, so this can never race a concurrent free/recycle.
   pool.retain(it->second);
-  ++st_.hits;
   PrefixMetrics::get().hits.inc();
   ++by_page_.find(it->second)->second.hits;
   return it->second;
@@ -58,9 +54,7 @@ bool PrefixIndex::publish(std::uint64_t chain, Index page, BlockPool& pool) {
   pool.retain(page);
   by_chain_.emplace(chain, page);
   by_page_.emplace(page, Entry{chain, 0});
-  ++st_.published;
   PrefixMetrics::get().published.inc();
-  st_.entries = static_cast<Index>(by_chain_.size());
   return true;
 }
 
@@ -70,9 +64,7 @@ void PrefixIndex::drop_entry_locked(Index page, BlockPool& pool) {
   by_page_.erase(rit);
   candidates_.erase(page);
   pool.release(page);
-  ++st_.reclaimed;
   PrefixMetrics::get().reclaimed.inc();
-  st_.entries = static_cast<Index>(by_chain_.size());
 }
 
 void PrefixIndex::note_released(const std::vector<Index>& pages) {
@@ -168,12 +160,11 @@ void PrefixIndex::clear(BlockPool& pool) {
   by_chain_.clear();
   by_page_.clear();
   candidates_.clear();
-  st_.entries = 0;
 }
 
-PrefixIndex::Stats PrefixIndex::stats() const {
+Index PrefixIndex::entries() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return st_;
+  return static_cast<Index>(by_chain_.size());
 }
 
 }  // namespace gpa::kvcache

@@ -35,6 +35,10 @@
 // least-hit orphan it can see. A page that has served prefix hits is
 // evidence its prompt recurs; a never-hit orphan was published once
 // and never matched, so it is the first to go under pressure.
+//
+// Counters. Lookups, hits, misses, publishes and reclaims are counted
+// only in the process registry (`kvcache.prefix.*`); entries() is the
+// one figure read from the index itself.
 
 #include <map>
 #include <mutex>
@@ -47,14 +51,6 @@ namespace gpa::kvcache {
 
 class PrefixIndex {
  public:
-  struct Stats {
-    Size lookups = 0;    ///< acquire() calls
-    Size hits = 0;       ///< acquire() calls that returned a page
-    Size published = 0;  ///< entries ever registered
-    Size reclaimed = 0;  ///< orphan pages released back to the pool
-    Index entries = 0;   ///< live entries (== pages the index holds)
-  };
-
   /// Hit: retains `chain`'s page FOR THE CALLER (on top of the index's
   /// own reference) and returns it; the caller must byte-verify the
   /// content and release on mismatch. Miss: kNoPage.
@@ -95,7 +91,8 @@ class PrefixIndex {
   /// of refcount (manager teardown only — sessions are gone by then).
   void clear(BlockPool& pool);
 
-  Stats stats() const;
+  /// Live entries (== pages the index holds).
+  Index entries() const;
 
  private:
   /// Erases the entry for `page` and releases the index's reference;
@@ -111,7 +108,6 @@ class PrefixIndex {
   std::map<std::uint64_t, Index> by_chain_;  ///< chain key → page
   std::map<Index, Entry> by_page_;           ///< reverse (targeted reclaim + hits)
   std::set<Index> candidates_;               ///< note_released'd likely orphans
-  Stats st_;
 };
 
 }  // namespace gpa::kvcache

@@ -27,10 +27,10 @@ void mix_row(Fnv1a& f, const float* p, Index n) {
   }
 }
 
-// Registry mirrors of SessionManager's locked stats fields. Gauges for
-// pool occupancy are NOT set here — they are refreshed at scrape time
-// (NodeService's Op::Stats handler) from pool state, since a gauge
-// updated per-allocation would just duplicate the pool's own counters.
+// SessionManager's event counters. Gauges for pool occupancy are NOT
+// set here — they are refreshed at scrape time (NodeService's Op::Stats
+// handler) from pool state, since a gauge updated per-allocation would
+// just duplicate the pool's own counters.
 struct KvMetrics {
   obs::Counter& prefill_calls;
   obs::Counter& pages_adopted;
@@ -166,10 +166,7 @@ bool SessionManager::evict_one(const Session* self) {
     freed += index_.reclaim_orphans_among(pages, pool_);
     op.unlock();
     sessions_.erase(it);
-    if (freed > 0) {
-      ++evictions_;
-      KvMetrics::get().evictions.inc();  // productive evictions only
-    }
+    if (freed > 0) KvMetrics::get().evictions.inc();  // productive evictions only
     return true;
   }
   return false;
@@ -314,13 +311,7 @@ void SessionManager::prefill(std::uint64_t id, const Matrix<float>& q, const Mat
     s->l[static_cast<std::size_t>(i)] = state.l(i);
   }
 
-  if (adopted > 0) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      dedup_pages_ += adopted;
-    }
-    KvMetrics::get().pages_adopted.inc(adopted);
-  }
+  if (adopted > 0) KvMetrics::get().pages_adopted.inc(adopted);
 }
 
 bool SessionManager::page_matches(Index page, const Matrix<float>& k, const Matrix<float>& v,
@@ -398,11 +389,6 @@ Index SessionManager::decode_step(std::uint64_t id, const float* q_new, const fl
 
   s->m.push_back(osr.m);
   s->l.push_back(osr.l);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++decode_steps_;
-    decode_edges_ += static_cast<Size>(edges);
-  }
   KvMetrics& km = KvMetrics::get();
   km.decode_steps.inc();
   km.decode_edges.inc(static_cast<std::uint64_t>(edges));
@@ -493,17 +479,8 @@ SessionManager::Stats SessionManager::stats() const {
   {
     std::lock_guard<std::mutex> lk(mu_);
     st.sessions = sessions_.size();
-    st.evictions = evictions_;
-    st.pages_deduped = dedup_pages_;
-    st.decode_steps = decode_steps_;
-    st.decode_edges = decode_edges_;
   }
-  const PrefixIndex::Stats ix = index_.stats();
-  st.prefix_lookups = ix.lookups;
-  st.prefix_hits = ix.hits;
-  st.prefix_published = ix.published;
-  st.prefix_reclaimed = ix.reclaimed;
-  st.prefix_entries = ix.entries;
+  st.prefix_entries = index_.entries();
   st.pages_in_use = pool_.pages_in_use();
   st.pages_free = pool_.pages_free();
   return st;

@@ -68,20 +68,14 @@ class SessionManager {
     bool prefix_dedup = true;
   };
 
+  /// State read at call time. Event counts (evictions, decode steps
+  /// and edges, adopted pages, prompt-cache lookups/hits/publishes/
+  /// reclaims) live only in the process registry, under `kvcache.*`.
   struct Stats {
     Size sessions = 0;
     Index pages_in_use = 0;
     Index pages_free = 0;
-    Size evictions = 0;       ///< LRU evictions that actually freed pages
-    Size decode_steps = 0;
-    Size decode_edges = 0;    ///< edges folded by all decode steps
-    // Prompt-cache (prefix dedup) counters.
-    Size pages_deduped = 0;   ///< full prompt pages adopted, not written
-    Size prefix_lookups = 0;  ///< index probes issued by prefill
-    Size prefix_hits = 0;     ///< probes that found a candidate page
-    Size prefix_published = 0;  ///< pages ever registered in the index
-    Size prefix_reclaimed = 0;  ///< orphan cache pages freed under pressure
-    Index prefix_entries = 0;   ///< live index entries (cached pages)
+    Index prefix_entries = 0;  ///< live index entries (cached pages)
   };
 
   explicit SessionManager(Config cfg);
@@ -190,8 +184,8 @@ class SessionManager {
   /// Evicts the LRU idle unpinned session other than `self`, sweeping
   /// the prompt-cache entries its departure orphaned so the eviction
   /// actually frees the session's un-shared pages. Returns false when
-  /// nothing is evictable; `evictions_` counts only evictions that
-  /// released at least one page (a fully fork-shared session frees
+  /// nothing is evictable; `kvcache.evictions` counts only evictions
+  /// that released at least one page (a fully fork-shared session frees
   /// nothing and is not counted).
   bool evict_one(const Session* self);
   /// True iff `page`'s slots byte-match rows [start, start+ps) of k/v.
@@ -204,10 +198,6 @@ class SessionManager {
   mutable std::mutex mu_;
   std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   std::uint64_t lru_clock_ = 0;
-  Size evictions_ = 0;
-  Size dedup_pages_ = 0;
-  Size decode_steps_ = 0;
-  Size decode_edges_ = 0;
 };
 
 }  // namespace gpa::kvcache

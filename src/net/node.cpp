@@ -19,7 +19,6 @@ namespace {
 /// A registry holds tens of metrics; a peer claiming orders of
 /// magnitude more is corrupt, not just big.
 constexpr std::uint32_t kMaxMetrics = 4096;
-constexpr std::uint32_t kMaxHistEdges = 512;
 }  // namespace
 
 void put_metrics_snapshot(Writer& w, const obs::MetricsSnapshot& s) {

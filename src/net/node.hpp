@@ -43,6 +43,11 @@ namespace gpa::net {
 // length-prefixed name strings and LE-encoded values. get_* applies the
 // usual hostile-input bounds before any allocation.
 
+/// The most edges a histogram may claim on the wire: room for the one
+/// obs layout, far below what a corrupt count would ask for.
+inline constexpr std::uint32_t kMaxHistEdges = 1024;
+static_assert(kMaxHistEdges >= obs::kHistogramEdges, "the codec must carry the histogram layout");
+
 void put_metrics_snapshot(Writer& w, const obs::MetricsSnapshot& s);
 bool get_metrics_snapshot(Reader& r, obs::MetricsSnapshot& s);
 

@@ -23,9 +23,7 @@ struct RpcMetrics {
       return RpcMetrics{
           reg.counter("net.rpc.calls"), reg.counter("net.rpc.errors"),
           reg.counter("net.rpc.transport_failures"),
-          reg.histogram("net.rpc.latency_us",
-                        {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000,
-                         100000, 250000, 1000000})};
+          reg.histogram("net.rpc.latency_us")};
     }();
     return m;
   }

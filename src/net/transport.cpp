@@ -12,7 +12,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <climits>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -216,16 +219,29 @@ namespace {
 struct Channel {
   std::mutex mu;
   std::condition_variable cv;
-  std::deque<std::uint8_t> bytes;
+  std::vector<std::uint8_t> buf;  ///< unread bytes are buf[head, size)
+  std::size_t head = 0;
   bool closed = false;
 
   /// Appends the parts under one lock and wakes the reader once.
   bool write(std::span<const ConstBytes> parts) {
     std::lock_guard<std::mutex> lk(mu);
     if (closed) return false;
+    if (head > 0 && head >= buf.size() / 2) {
+      // Drop the read half before growing, so a reader that never fully
+      // drains does not keep the buffer growing.
+      buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(head));
+      head = 0;
+    }
+    const std::size_t end = buf.size();
+    std::size_t total = 0;
+    for (const ConstBytes& part : parts) total += part.size;
+    buf.resize(end + total);
+    std::uint8_t* dst = buf.data() + end;
     for (const ConstBytes& part : parts) {
-      const auto* p = static_cast<const std::uint8_t*>(part.data);
-      bytes.insert(bytes.end(), p, p + part.size);
+      if (part.size == 0) continue;
+      std::memcpy(dst, part.data, part.size);
+      dst += part.size;
     }
     cv.notify_all();
     return true;
@@ -234,11 +250,15 @@ struct Channel {
   bool read_exact(std::uint8_t* p, std::size_t n) {
     std::unique_lock<std::mutex> lk(mu);
     while (n > 0) {
-      cv.wait(lk, [&] { return !bytes.empty() || closed; });
-      if (bytes.empty()) return false;  // closed and drained: EOF
-      const std::size_t take = std::min(n, bytes.size());
-      for (std::size_t i = 0; i < take; ++i) p[i] = bytes[i];
-      bytes.erase(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(take));
+      cv.wait(lk, [&] { return head < buf.size() || closed; });
+      if (head == buf.size()) return false;  // closed and drained: EOF
+      const std::size_t take = std::min(n, buf.size() - head);
+      std::memcpy(p, buf.data() + head, take);
+      head += take;
+      if (head == buf.size()) {
+        buf.clear();
+        head = 0;
+      }
       p += take;
       n -= take;
     }

@@ -13,11 +13,8 @@
 // live above (frame.hpp / rpc.hpp); retry policy lives with callers.
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>

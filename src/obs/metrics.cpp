@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <iomanip>
 #include <sstream>
-
-#include "common/error.hpp"
 
 namespace gpa::obs {
 
@@ -31,21 +30,26 @@ void Counter::reset() noexcept {
   for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
 }
 
-Histogram::Histogram(std::vector<double> edges)
-    : edges_(std::move(edges)), counts_(edges_.size() + 1) {
-  GPA_CHECK(!edges_.empty(), "histogram needs at least one bucket edge");
-  for (std::size_t i = 1; i < edges_.size(); ++i) {
-    GPA_CHECK(edges_[i - 1] < edges_[i], "histogram edges must ascend strictly");
-  }
+const std::vector<double>& histogram_edges() {
+  static const std::vector<double> edges = [] {
+    std::vector<double> e;
+    e.reserve(kHistogramEdges);
+    for (int k = -4 * 16; k <= 30 * 16; ++k) e.push_back(std::exp2(k / 16.0));
+    return e;
+  }();
+  return edges;
 }
 
 void Histogram::observe(double v) noexcept {
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), v);
-  const auto b = static_cast<std::size_t>(it - edges_.begin());  // == size() → overflow
-  counts_[b].fetch_add(1, std::memory_order_relaxed);
+  const std::vector<double>& e = histogram_edges();
+  const auto b = static_cast<std::size_t>(std::lower_bound(e.begin(), e.end(), v) - e.begin());
+  counts_[b].fetch_add(1, std::memory_order_relaxed);  // b == e.size() → overflow
   count_.fetch_add(1, std::memory_order_relaxed);
   double cur = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
+  }
+  double top = max_.load(std::memory_order_relaxed);
+  while (v > top && !max_.compare_exchange_weak(top, v, std::memory_order_relaxed)) {
   }
 }
 
@@ -63,10 +67,36 @@ std::uint64_t Histogram::count() const noexcept {
   return count_.load(std::memory_order_relaxed);
 }
 
+double Histogram::max() const noexcept { return max_.load(std::memory_order_relaxed); }
+
+TailStats Histogram::tail() const {
+  TailStats t;
+  for (const auto& c : counts_) t.samples += c.load(std::memory_order_relaxed);
+  if (t.samples == 0) return t;
+  const std::vector<double>& edges = histogram_edges();
+  const double top = max();
+  const auto at = [&](double pct) {
+    const auto rank = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil(pct / 100.0 * static_cast<double>(t.samples))));
+    std::size_t seen = 0;
+    for (std::size_t b = 0; b < edges.size(); ++b) {
+      seen += counts_[b].load(std::memory_order_relaxed);
+      if (seen >= rank) return std::min(edges[b], top);
+    }
+    return top;  // the rank falls in the overflow bucket
+  };
+  t.p50 = at(50.0);
+  t.p95 = at(95.0);
+  t.p99 = at(99.0);
+  t.max = top;
+  return t;
+}
+
 void Histogram::reset() noexcept {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
+  max_.store(0.0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------
@@ -85,16 +115,11 @@ Gauge& Registry::gauge(std::string_view name) {
   return *gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first->second;
 }
 
-Histogram& Registry::histogram(std::string_view name, std::vector<double> edges) {
+Histogram& Registry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = histograms_.find(name);
-  if (it != histograms_.end()) {
-    GPA_CHECK(it->second->edges() == edges,
-              "histogram re-registered with different edges: " + std::string(name));
-    return *it->second;
-  }
-  return *histograms_.emplace(std::string(name), std::make_unique<Histogram>(std::move(edges)))
-              .first->second;
+  if (it != histograms_.end()) return *it->second;
+  return *histograms_.emplace(std::string(name), std::make_unique<Histogram>()).first->second;
 }
 
 MetricsSnapshot Registry::snapshot() const {
@@ -106,7 +131,7 @@ MetricsSnapshot Registry::snapshot() const {
   for (const auto& [name, g] : gauges_) s.gauges.push_back({name, g->value()});
   s.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
-    s.histograms.push_back({name, h->edges(), h->counts(), h->sum(), h->count()});
+    s.histograms.push_back({name, histogram_edges(), h->counts(), h->sum(), h->count()});
   }
   return s;
 }
@@ -166,6 +191,7 @@ std::string MetricsSnapshot::to_text() const {
   for (const auto& g : gauges) os << g.name << " " << g.value << "\n";
   for (const auto& h : histograms) {
     for (std::size_t b = 0; b < h.counts.size(); ++b) {
+      if (h.counts[b] == 0 && b < h.edges.size()) continue;  // 545 buckets: print the used ones
       os << h.name << "_bucket{le=\""
          << (b < h.edges.size() ? fmt_double(h.edges[b]) : std::string("+Inf")) << "\"} "
          << h.counts[b] << "\n";

@@ -1,13 +1,14 @@
 #pragma once
-// Metrics registry: named counters, gauges, and fixed-bucket histograms
+// Metrics registry: named counters, gauges, and log-linear histograms
 // with lock-cheap recording, a typed snapshot, and text + JSON
-// exposition. This is the process-wide substrate every subsystem
-// (serve / kvcache / net / parallel) records into; the live scrape path
-// (net's Op::Stats) and the bench JSON embeds read it back out.
+// exposition. This is the process-wide substrate kvcache / net /
+// parallel record into; the live scrape path (net's Op::Stats) and the
+// bench JSON embeds read it back out. Counters are per process, so
+// in-process loopback nodes share one set.
 //
 // Naming convention: `subsystem.noun[.verb]`, lowercase, dot-separated
-//   serve.requests.submitted      kvcache.prefix.hits
-//   net.bytes.sent                parallel.calls.forked
+//   kvcache.prefix.hits           net.bytes.sent
+//   kvcache.decode.steps          parallel.calls.forked
 // Names are registered once and live for the registry's lifetime, so
 // instrument sites cache the returned reference (one magic-static) and
 // the hot path is a single sharded atomic add — no lock, no lookup.
@@ -17,15 +18,16 @@
 //     cache-line-padded shard picked by thread id (writers on different
 //     threads do not bounce one cache line).
 //   * Gauge is a single atomic (set/add are rare, not hot-path).
-//   * Histogram::observe is two relaxed adds (bucket + count) plus a
-//     CAS loop for the running sum.
+//   * Histogram::observe is two relaxed adds (bucket + count) plus CAS
+//     loops for the running sum and max.
 //   * snapshot() walks the registry under its registration mutex.
 //     Individual values are atomically read but the snapshot is NOT a
 //     cross-metric atomic cut — counters are monotone, so a scraper
 //     sees each counter at some point within the scrape window.
-//     Invariant-coupled pairs that must never tear (e.g. ServerStats'
-//     completed vs latency sums) stay behind their owner's single lock
-//     and mirror into the registry for scraping (see server_stats.hpp).
+//     Figures that must never tear against each other (ServerStats'
+//     completed count vs its latency histograms) are not registry
+//     metrics: their owner records them under one lock of its own,
+//     into plain obs::Histogram members (see server_stats.hpp).
 
 #include <array>
 #include <atomic>
@@ -70,29 +72,48 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Fixed-bucket histogram: bucket b counts observations <= edges[b],
-/// the last (implicit +inf) bucket counts the overflow. Edges are fixed
-/// at registration — scrapers can difference two snapshots bucket by
-/// bucket because the layout never changes.
+/// The one histogram layout: 16 log-linear buckets per octave, upper
+/// edges 2^(k/16) for k = -64 .. 480 (2^-4 to 2^30), plus an overflow
+/// bucket past 2^30. Bucket b counts v <= edges[b] (first match), so
+/// values at or below 2^-4 land in bucket 0. A bucket's upper edge is
+/// 2^(1/16) × its lower edge: a percentile read as its bucket's upper
+/// edge is at most 2^(1/16) − 1 ≈ 4.4 % above the exact order
+/// statistic, in whatever unit the caller observes (µs latencies reach
+/// ~18 minutes before the overflow bucket).
+constexpr std::size_t kHistogramEdges = 545;
+const std::vector<double>& histogram_edges();
+
+/// Tail summary of a histogram: each percentile is the upper edge of
+/// the bucket holding its rank, capped at the exact maximum.
+struct TailStats {
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+  double max = 0.0;
+  std::size_t samples = 0;
+};
+
+/// Histogram over the layout above. Scrapers can difference two
+/// snapshots bucket by bucket because the layout never changes.
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> edges);
-
   void observe(double v) noexcept;
 
-  const std::vector<double>& edges() const noexcept { return edges_; }
-  /// counts[i] for i < edges.size() counts v <= edges[i] (first match);
-  /// counts.back() is the +inf overflow bucket.
+  /// kHistogramEdges + 1 counts; counts.back() is the overflow bucket.
   std::vector<std::uint64_t> counts() const;
   double sum() const noexcept;
   std::uint64_t count() const noexcept;
+  /// The largest observation (0 when nothing larger was observed).
+  double max() const noexcept;
+  /// p50/p95/p99/max of the observations, in their own unit.
+  TailStats tail() const;
   void reset() noexcept;
 
  private:
-  std::vector<double> edges_;  ///< strictly ascending
-  std::vector<std::atomic<std::uint64_t>> counts_;
+  std::array<std::atomic<std::uint64_t>, kHistogramEdges + 1> counts_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+  std::atomic<double> max_{0.0};
 };
 
 // ---------------------------------------------------------------------
@@ -129,7 +150,8 @@ struct MetricsSnapshot {
   const HistogramSample* histogram(std::string_view name) const noexcept;
 
   /// Plain-text exposition, one `name value` line per counter/gauge,
-  /// `name_bucket{le="edge"} n` per histogram bucket (Prometheus-style).
+  /// `name_bucket{le="edge"} n` per non-empty histogram bucket plus the
+  /// `+Inf` overflow bucket (Prometheus-style).
   std::string to_text() const;
   /// {"counters":{...},"gauges":{...},"histograms":{name:{...}}}.
   std::string to_json() const;
@@ -145,11 +167,10 @@ class Registry {
 
   /// Get-or-register. The returned reference is stable for the
   /// registry's lifetime (metrics are never erased), so callers cache
-  /// it. Registering an existing histogram name with different edges
-  /// throws InvalidArgument — the layout is part of the name's contract.
+  /// it.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name, std::vector<double> edges);
+  Histogram& histogram(std::string_view name);
 
   MetricsSnapshot snapshot() const;
 

@@ -2,28 +2,26 @@
 // Thread-safe serving metrics. Counters cover the full admission
 // funnel (submitted → accepted → completed/rejected-by-cause), gauges
 // track queue depth, and two latency series (end-to-end and service)
-// feed the p50/p95/p99 tail summary. The series are log-linear
-// histograms (16 buckets per octave), so a server's stats take the
-// same memory however many requests it completes; a percentile is
-// reported as its bucket's upper edge, capped at the exact maximum —
-// at most 2^(1/16) − 1 ≈ 4.4 % above the exact order statistic. The
-// batch-occupancy histogram is the direct evidence for whether the
-// batching policy actually coalesces work.
+// feed the p50/p95/p99 tail summary. The series are obs::Histogram
+// (the one log-linear layout, 16 buckets per octave), so a server's
+// stats take the same memory however many requests it completes; a
+// percentile is reported as its bucket's upper edge, capped at the
+// exact maximum — at most 2^(1/16) − 1 ≈ 4.4 % above the exact order
+// statistic. The batch-occupancy histogram is the direct evidence for
+// whether the batching policy actually coalesces work.
 //
 // Consistency contract: every record_* mutates its coupled fields
 // under ONE mutex and snapshot() reads every field in one critical
 // section of the same mutex, so a snapshot can never observe torn
 // pairs — e.g. completed_ok advanced without the matching latency
-// sample, or batches without its occupancy slot. The registry-atomics
-// mirror (obs::Registry::global(), `serve.*` names) exists for the
-// live scrape path and is monotone-per-metric but NOT a cross-metric
-// cut; anything that checks the funnel invariants must read
-// snapshot(), not the registry.
+// sample, or batches without its occupancy slot. These fields are a
+// server's only stats: nothing of them is mirrored into the process
+// registry, so two servers in one process never mix their figures.
 
 #include <mutex>
 #include <vector>
 
-#include "benchutil/stats.hpp"
+#include "obs/metrics.hpp"
 #include "serve/request.hpp"
 
 namespace gpa::serve {
@@ -47,14 +45,12 @@ struct StatsSnapshot {
 
   /// End-to-end (admission → kernel done) and service (dispatch →
   /// kernel done) latency tails, milliseconds.
-  benchutil::TailStats latency_ms;
-  benchutil::TailStats service_ms;
+  obs::TailStats latency_ms;
+  obs::TailStats service_ms;
 };
 
 class ServerStats {
  public:
-  ServerStats();
-
   void record_submitted();
   void record_rejected(ResponseStatus cause);
   void record_internal_error();
@@ -76,12 +72,8 @@ class ServerStats {
   Size batches_ = 0;
   std::vector<Size> occupancy_;
   std::size_t max_queue_depth_ = 0;
-  /// Completions per latency bucket (log-linear edges, last slot is
-  /// the overflow), end-to-end and service.
-  std::vector<Size> latency_counts_;
-  std::vector<Size> service_counts_;
-  double latency_max_us_ = 0.0;
-  double service_max_us_ = 0.0;
+  obs::Histogram latency_us_;  ///< end-to-end, per completion
+  obs::Histogram service_us_;
 };
 
 }  // namespace gpa::serve

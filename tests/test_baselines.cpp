@@ -1,12 +1,10 @@
-// Tests for the comparison baselines: masked SDP, FlashAttention-style
-// tiled attention, and block-sparse flash — each against the exact
-// reference, plus the structural properties the paper's analysis uses.
+// Tests for the comparison baselines: masked SDP and FlashAttention-style
+// tiled attention, each against the exact reference.
 
 #include <gtest/gtest.h>
 
 #include <tuple>
 
-#include "baselines/block_sparse_flash.hpp"
 #include "baselines/flash_attention.hpp"
 #include "baselines/reference_attention.hpp"
 #include "baselines/sdp_masked.hpp"
@@ -97,60 +95,6 @@ TEST(FlashTest, AgreesWithSdpOnDenseMask) {
   baselines::sdp_masked_attention(in.q, in.k, in.v, ones, sdp);
   baselines::flash_attention(in.q, in.k, in.v, flash);
   EXPECT_TRUE(allclose(flash, sdp, 1e-5, 1e-6).all_close);
-}
-
-TEST(BlockSparseFlashTest, MatchesReferenceOnStructuredMasks) {
-  const Index L = 128, d = 16;
-  const auto in = make_inputs(L, d, 405);
-  for (const double sf : {0.02, 0.1}) {
-    const auto mask = build_csr_random(L, RandomParams{sf, 31});
-    Matrix<float> expected(L, d), got(L, d);
-    baselines::reference_attention(in.q, in.k, in.v, mask, expected);
-    baselines::block_sparse_flash_attention(in.q, in.k, in.v, mask, got, {},
-                                            baselines::BlockSparseConfig{32});
-    const auto rep = allclose(got, expected, 1e-5, 1e-6);
-    EXPECT_TRUE(rep.all_close) << "Sf=" << sf << " diff " << rep.max_abs_diff;
-  }
-}
-
-TEST(BlockSparseFlashTest, LocalMaskWithVariousBlocks) {
-  const Index L = 96, d = 8;
-  const auto in = make_inputs(L, d, 406);
-  const auto mask = build_csr_local(L, LocalParams{5});
-  Matrix<float> expected(L, d);
-  baselines::reference_attention(in.q, in.k, in.v, mask, expected);
-  for (const Index block : {8, 16, 33, 96}) {
-    Matrix<float> got(L, d);
-    baselines::block_sparse_flash_attention(in.q, in.k, in.v, mask, got, {},
-                                            baselines::BlockSparseConfig{block});
-    const auto rep = allclose(got, expected, 1e-5, 1e-6);
-    EXPECT_TRUE(rep.all_close) << "block=" << block << " diff " << rep.max_abs_diff;
-  }
-}
-
-TEST(BlockOccupancyTest, CountsLiveBlocksOnDiagonalMask) {
-  // Diagonal mask, block 4 on L=16 -> only the 4 diagonal blocks live.
-  const auto mask = build_csr_local(16, LocalParams{1});
-  const auto occ = baselines::analyze_blocks(mask, 4);
-  EXPECT_EQ(occ.grid, 4);
-  EXPECT_EQ(occ.live_blocks, 4u);
-  // 16 nnz spread over 4 live blocks of 16 cells: density 1/4.
-  EXPECT_DOUBLE_EQ(occ.in_block_density, 0.25);
-}
-
-TEST(BlockOccupancyTest, DensityOneForAlignedDenseBlocks) {
-  const auto p = make_dilated2d(16, 4, 0);  // dense 4-aligned groups
-  const auto mask = build_csr_dilated2d(p);
-  const auto occ = baselines::analyze_blocks(mask, 4);
-  EXPECT_DOUBLE_EQ(occ.in_block_density, 1.0);
-}
-
-TEST(BlockOccupancyTest, QuantifiesBlockWaste) {
-  // The §III critique: low in-block density == wasted O(d) work per zero
-  // entry. A very sparse random mask in large blocks is nearly all waste.
-  const auto mask = build_csr_random(256, RandomParams{0.005, 3});
-  const auto occ = baselines::analyze_blocks(mask, 64);
-  EXPECT_LT(occ.in_block_density, 0.05);
 }
 
 }  // namespace

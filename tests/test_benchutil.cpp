@@ -87,18 +87,6 @@ TEST(PercentileTest, SmallSamplePinning) {
   EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 4.0, 1.5, 9.0}, 100.0), 9.0);
 }
 
-TEST(PercentileTest, TailStatsAreMonotone) {
-  std::vector<double> s;
-  for (int i = 100; i >= 1; --i) s.push_back(static_cast<double>(i));
-  const auto t = compute_tail_stats(s);
-  EXPECT_EQ(t.samples, 100u);
-  EXPECT_LE(t.p50, t.p95);
-  EXPECT_LE(t.p95, t.p99);
-  EXPECT_LE(t.p99, t.max);
-  EXPECT_DOUBLE_EQ(t.max, 100.0);
-  EXPECT_NEAR(t.p50, 50.5, 1e-12);
-}
-
 TEST(RunnerTest, ExecutesWarmupPlusIterations) {
   int calls = 0;
   const auto s = run_benchmark([&] { ++calls; }, RunConfig{3, 7});

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "core/graph_attention.hpp"
 #include "core/kernel_common.hpp"
 #include "core/traversal.hpp"
+#include "counter_deltas.hpp"
 #include "kvcache/kvcache.hpp"
 #include "obs/metrics.hpp"
 #include "simd/simd.hpp"
@@ -402,6 +404,7 @@ void prefill_n(SessionManager& mgr, std::uint64_t id, Index n, Index d) {
 TEST(SessionEviction, LruEvictsOnlyIdleAndOldest) {
   const Index d = 8;
   // 8 pages of 2 tokens: two 4-token sessions twice over.
+  const CounterDeltas delta;
   SessionManager mgr(small_config(d, 8));
   mgr.create(1, MaskSpec::make_local(LocalParams{2}));
   mgr.create(2, MaskSpec::make_local(LocalParams{2}));
@@ -417,7 +420,7 @@ TEST(SessionEviction, LruEvictsOnlyIdleAndOldest) {
   mgr.create(3, MaskSpec::make_local(LocalParams{2}));
   prefill_n(mgr, 3, 10, d);  // needs 5 pages -> must evict session 2
 
-  EXPECT_EQ(mgr.stats().evictions, 1u);
+  EXPECT_EQ(delta("kvcache.evictions"), 1u);
   EXPECT_TRUE(mgr.contains(1));
   EXPECT_FALSE(mgr.contains(2));  // evicted -> gone (client re-prefills)
   EXPECT_THROW(mgr.length(2), SessionNotFound);
@@ -426,6 +429,7 @@ TEST(SessionEviction, LruEvictsOnlyIdleAndOldest) {
 
 TEST(SessionEviction, PinnedSessionsSurviveAndCacheFullIsTyped) {
   const Index d = 8;
+  const CounterDeltas delta;
   SessionManager mgr(small_config(d, 4));
   mgr.create(1, MaskSpec::make_local(LocalParams{2}));
   prefill_n(mgr, 1, 8, d);  // entire pool
@@ -435,12 +439,12 @@ TEST(SessionEviction, PinnedSessionsSurviveAndCacheFullIsTyped) {
   EXPECT_THROW(prefill_n(mgr, 2, 4, d), CacheFull);
   EXPECT_TRUE(mgr.contains(1));          // pinned: never evicted
   EXPECT_EQ(mgr.length(2), 0);           // failed prefill left it empty
-  EXPECT_EQ(mgr.stats().evictions, 0u);
+  EXPECT_EQ(delta("kvcache.evictions"), 0u);
 
   mgr.set_pinned(1, false);
   prefill_n(mgr, 2, 4, d);  // now eviction can reclaim session 1
   EXPECT_FALSE(mgr.contains(1));
-  EXPECT_EQ(mgr.stats().evictions, 1u);
+  EXPECT_EQ(delta("kvcache.evictions"), 1u);
 }
 
 TEST(SessionEviction, ForkSharedEvictionFreesNothingAndIsNotCounted) {
@@ -451,6 +455,7 @@ TEST(SessionEviction, ForkSharedEvictionFreesNothingAndIsNotCounted) {
   const Index d = 8;
   auto mc = small_config(d, 4);  // page_size 2 -> 4 pages = 8 tokens
   mc.prefix_dedup = false;       // pure fork sharing, no index refs
+  const CounterDeltas delta;
   SessionManager mgr(mc);
   mgr.create(1, MaskSpec::make_local(LocalParams{2}));
   prefill_n(mgr, 1, 4, d);  // two FULL pages (no CoW-able tail)
@@ -464,7 +469,7 @@ TEST(SessionEviction, ForkSharedEvictionFreesNothingAndIsNotCounted) {
   mgr.create(3, MaskSpec::make_local(LocalParams{2}));
   EXPECT_THROW(prefill_n(mgr, 3, 6, d), CacheFull);
   EXPECT_FALSE(mgr.contains(1));            // evicted all the same...
-  EXPECT_EQ(mgr.stats().evictions, 0u);     // ...but freed nothing: not counted
+  EXPECT_EQ(delta("kvcache.evictions"), 0u);  // ...but freed nothing: not counted
   EXPECT_TRUE(mgr.contains(2));
   EXPECT_EQ(mgr.length(2), 4);              // fork's view intact
   EXPECT_EQ(mgr.length(3), 0);              // failed prefill unwound
@@ -474,7 +479,7 @@ TEST(SessionEviction, ForkSharedEvictionFreesNothingAndIsNotCounted) {
   mgr.set_pinned(2, false);
   prefill_n(mgr, 3, 6, d);
   EXPECT_FALSE(mgr.contains(2));
-  EXPECT_EQ(mgr.stats().evictions, 1u);
+  EXPECT_EQ(delta("kvcache.evictions"), 1u);
   EXPECT_EQ(mgr.length(3), 6);
 }
 
@@ -509,6 +514,7 @@ TEST(SessionConcurrency, ParallelDecodeAcrossSessionsWithEvictionChurn) {
   const Index d = 16;
   // 4 decoders × 48 tokens = 96 pages of 2; the headroom above that is
   // what the churn thread and the evictor fight over.
+  const CounterDeltas delta;
   SessionManager mgr(small_config(d, 112));
   constexpr int kSessions = 4;
   constexpr Index kSteps = 48;
@@ -549,7 +555,7 @@ TEST(SessionConcurrency, ParallelDecodeAcrossSessionsWithEvictionChurn) {
   for (int s = 1; s <= kSessions; ++s) {
     EXPECT_EQ(mgr.length(static_cast<std::uint64_t>(s)), kSteps);
   }
-  EXPECT_EQ(mgr.stats().decode_steps, static_cast<Size>(kSessions) * kSteps);
+  EXPECT_EQ(delta("kvcache.decode.steps"), static_cast<Size>(kSessions) * kSteps);
 }
 
 TEST(DecodeBatch, BatchedStepsMatchPerSessionStepsBitwise) {
@@ -749,25 +755,27 @@ TEST(DecodeBatch, SmallBatchRunsInlineUnderAParallelPolicy) {
 
 // --- stats invariants under churn ------------------------------------
 
-// The stats contract the scrape path depends on: counters are monotone
-// across snapshots, the pool balance always closes, evictions count
-// only when pages were actually freed, and the registry mirror
-// (kvcache.* in obs::Registry::global()) moves in lockstep with the
-// manager's own stats() — an instrument site that forgets one side
-// shows up as a drifting delta here.
-TEST(SessionStats, ChurnKeepsCountersMonotoneAndMirroredInRegistry) {
+// The counters the scrape path depends on, under churn: each round's
+// decode steps and edges move `kvcache.decode.*` by exactly what the
+// calls returned, evictions count only sessions that vanished without
+// a release, every lookup is a hit or a miss, index entries equal
+// publishes minus reclaims, and the pool balance always closes.
+TEST(SessionStats, ChurnMovesRegistryCountersByExactlyItsOwnEvents) {
   const Index d = 8;
   const Index num_pages = 8;
-  const obs::MetricsSnapshot reg0 = obs::Registry::global().snapshot();
+  const CounterDeltas delta;
   SessionManager mgr(small_config(d, num_pages));
-  const SessionManager::Stats base = mgr.stats();
 
-  SessionManager::Stats prev = base;
   std::vector<float> row(static_cast<std::size_t>(d), 0.25f);
   std::vector<float> out(static_cast<std::size_t>(d));
   Rng rng(99);
   std::uint64_t next_id = 1;
   std::vector<std::uint64_t> live;
+  Size steps = 0, edges = 0, vanished = 0;
+  const char* const monotone[] = {"kvcache.evictions", "kvcache.prefix.lookups",
+                                  "kvcache.prefix.hits", "kvcache.prefix.published",
+                                  "kvcache.prefix.reclaimed"};
+  std::uint64_t prev[std::size(monotone)] = {};
 
   for (int round = 0; round < 60; ++round) {
     const int action = static_cast<int>(rng.next_u64() % 4);
@@ -778,7 +786,9 @@ TEST(SessionStats, ChurnKeepsCountersMonotoneAndMirroredInRegistry) {
         live.push_back(id);  // a failed prefill still leaves the session
         prefill_n(mgr, id, 2 + static_cast<Index>(rng.next_u64() % 8), d);
       } else if (action == 1) {
-        mgr.decode_step(live.back(), row.data(), row.data(), row.data(), out.data());
+        edges += static_cast<Size>(
+            mgr.decode_step(live.back(), row.data(), row.data(), row.data(), out.data()));
+        ++steps;
       } else if (action == 2) {
         const std::uint64_t id = next_id++;
         mgr.fork(live.back(), id);
@@ -792,66 +802,31 @@ TEST(SessionStats, ChurnKeepsCountersMonotoneAndMirroredInRegistry) {
     } catch (const SessionNotFound&) {
       // The victim was evicted under our feet — drop it from `live`.
     }
+    const std::size_t before = live.size();
     live.erase(std::remove_if(live.begin(), live.end(),
                               [&](std::uint64_t id) { return !mgr.contains(id); }),
                live.end());
+    vanished += before - live.size();
 
+    for (std::size_t m = 0; m < std::size(monotone); ++m) {
+      ASSERT_GE(delta(monotone[m]), prev[m]) << monotone[m];
+      prev[m] = delta(monotone[m]);
+    }
+    ASSERT_EQ(delta("kvcache.decode.steps"), steps);
+    ASSERT_EQ(delta("kvcache.decode.edges"), edges);
+    ASSERT_LE(delta("kvcache.evictions"), vanished);
+    ASSERT_EQ(delta("kvcache.prefix.hits") + delta("kvcache.prefix.misses"),
+              delta("kvcache.prefix.lookups"));
+    // Index entries: every publish adds one, every reclaim drops one.
     const SessionManager::Stats s = mgr.stats();
-    // Monotone counters (gauges — sessions, pages, entries — are not).
-    ASSERT_GE(s.evictions, prev.evictions);
-    ASSERT_GE(s.decode_steps, prev.decode_steps);
-    ASSERT_GE(s.decode_edges, prev.decode_edges);
-    ASSERT_GE(s.prefix_lookups, prev.prefix_lookups);
-    ASSERT_GE(s.prefix_hits, prev.prefix_hits);
-    ASSERT_GE(s.prefix_published, prev.prefix_published);
-    ASSERT_GE(s.prefix_reclaimed, prev.prefix_reclaimed);
-    prev = s;
-
+    ASSERT_EQ(static_cast<std::uint64_t>(s.prefix_entries),
+              delta("kvcache.prefix.published") - delta("kvcache.prefix.reclaimed"));
     // The pool balance closes on every snapshot.
     ASSERT_EQ(s.pages_in_use + s.pages_free, num_pages);
     ASSERT_EQ(s.sessions, live.size());
-    ASSERT_LE(s.prefix_hits, s.prefix_lookups);
-    // Index entries: every publish adds one, every reclaim drops one.
-    ASSERT_EQ(static_cast<Size>(s.prefix_entries), s.prefix_published - s.prefix_reclaimed);
   }
-
-  // Registry mirror moved in lockstep with the manager's own books.
-  const obs::MetricsSnapshot reg1 = obs::Registry::global().snapshot();
-  const SessionManager::Stats s = mgr.stats();
-  auto delta = [&](const char* name) { return reg1.counter(name) - reg0.counter(name); };
-  EXPECT_EQ(delta("kvcache.evictions"), s.evictions - base.evictions);
-  EXPECT_EQ(delta("kvcache.decode.steps"), s.decode_steps - base.decode_steps);
-  EXPECT_EQ(delta("kvcache.decode.edges"), s.decode_edges - base.decode_edges);
-  EXPECT_EQ(delta("kvcache.prefix.lookups"), s.prefix_lookups - base.prefix_lookups);
-  EXPECT_EQ(delta("kvcache.prefix.hits"), s.prefix_hits - base.prefix_hits);
-  EXPECT_EQ(delta("kvcache.prefix.hits") + delta("kvcache.prefix.misses"),
-            delta("kvcache.prefix.lookups"));
-}
-
-// Unproductive evictions (victim's pages all shared) must stay out of
-// BOTH books — the local counter and the registry mirror.
-TEST(SessionStats, UnproductiveEvictionCountsNowhere) {
-  const Index d = 8;
-  auto mc = small_config(d, 4);
-  mc.prefix_dedup = false;
-  const obs::MetricsSnapshot reg0 = obs::Registry::global().snapshot();
-  SessionManager mgr(mc);
-  mgr.create(1, MaskSpec::make_local(LocalParams{2}));
-  prefill_n(mgr, 1, 4, d);
-  mgr.fork(1, 2);
-  mgr.set_pinned(2, true);
-
-  mgr.create(3, MaskSpec::make_local(LocalParams{2}));
-  EXPECT_THROW(prefill_n(mgr, 3, 6, d), CacheFull);  // evicts 1, frees nothing
-  EXPECT_EQ(mgr.stats().evictions, 0u);
-  const obs::MetricsSnapshot reg1 = obs::Registry::global().snapshot();
-  EXPECT_EQ(reg1.counter("kvcache.evictions"), reg0.counter("kvcache.evictions"));
-
-  mgr.set_pinned(2, false);
-  prefill_n(mgr, 3, 6, d);  // now the fork's eviction frees pages
-  EXPECT_EQ(mgr.stats().evictions, 1u);
-  const obs::MetricsSnapshot reg2 = obs::Registry::global().snapshot();
-  EXPECT_EQ(reg2.counter("kvcache.evictions"), reg0.counter("kvcache.evictions") + 1);
+  EXPECT_GT(steps, 0u);
+  EXPECT_GT(delta("kvcache.evictions"), 0u);  // the churn did evict
 }
 
 // --- fp16 (half-width) pages -----------------------------------------
@@ -1111,6 +1086,7 @@ TEST(Fp16Pages, PrefillAndPrefixDedupShareHalfPages) {
   mc.pool = {ps, d, 32};
   mc.pool.dtype = DType::F16;
   mc.prefix_dedup = true;
+  const CounterDeltas delta;
   SessionManager mgr(mc);
 
   Rng rng(123);
@@ -1127,7 +1103,7 @@ TEST(Fp16Pages, PrefillAndPrefixDedupShareHalfPages) {
   Matrix<float> out2(prompt_len, d);
   mgr.prefill(2, q, k, v, out2);
   // The second session adopted the full prompt pages by reference.
-  EXPECT_EQ(mgr.stats().pages_deduped, static_cast<Size>(prompt_len / ps));
+  EXPECT_EQ(delta("kvcache.prefill.pages_adopted"), static_cast<Size>(prompt_len / ps));
   EXPECT_EQ(mgr.pool().pages_in_use(), pages_first);
   // And its prefill output is identical (attention reads the contiguous
   // inputs either way).

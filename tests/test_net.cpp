@@ -906,16 +906,24 @@ TEST(Cluster, BandedRingPrefillBytesArePinned) {
   fill_uniform(q, rng);
   fill_uniform(k, rng);
   fill_uniform(v, rng);
-  LoopbackCluster cluster(P);
   obs::Counter& sent = obs::Registry::global().counter("net.bytes.sent");
-  const std::uint64_t before = sent.value();
-  const auto rep = cluster.client.ring_prefill(q, k, v, mask, part, false, -1.0f, out);
+  std::uint64_t before = 0;
+  net::ClusterRingReport rep;
+  {
+    LoopbackCluster cluster(P);
+    before = sent.value();
+    rep = cluster.client.ring_prefill(q, k, v, mask, part, false, -1.0f, out);
+    // A node counts a response's bytes after handing it to the transport,
+    // so the client can read the response first. Joining the node threads
+    // (the cluster's destructor, after one Shutdown round trip per node)
+    // settles the count.
+  }
   const std::uint64_t bytes = sent.value() - before;
 
   const std::uint64_t framing = net::kFrameHeaderBytes + 9 + net::kFrameTrailerBytes;
   const std::uint64_t row = d * sizeof(float);
   const std::uint64_t partition = (4 + 8 * (P + 1)) + (4 + 8 * P);
-  std::uint64_t want = 0;
+  std::uint64_t want = P * 2 * (framing + 1);  // Shutdown: a 1-byte body each way
   for (Index p = 0; p < P; ++p) {
     const Index lo = part.boundaries[p];
     const Index hi = part.boundaries[p + 1];
@@ -1347,8 +1355,11 @@ TEST(MetricsCodec, SnapshotRoundTripsExactly) {
   s.gauges = {{"g.depth", -12}, {"g.live", 3}};
   obs::HistogramSample h;
   h.name = "h.lat";
-  h.edges = {0.5, 2.0, 100.25};
-  h.counts = {1, 0, 5, 2};  // edges + overflow
+  h.edges = obs::histogram_edges();
+  h.counts.assign(h.edges.size() + 1, 0);  // edges + overflow
+  h.counts[3] = 1;
+  h.counts[200] = 5;
+  h.counts.back() = 2;
   h.sum = 312.75;
   h.count = 8;
   s.histograms = {h};
@@ -1370,6 +1381,53 @@ TEST(MetricsCodec, SnapshotRoundTripsExactly) {
   EXPECT_EQ(gh->counts, h.counts);
   EXPECT_EQ(gh->sum, h.sum);
   EXPECT_EQ(gh->count, 8u);
+}
+
+TEST(MetricsCodec, LayoutHistogramRoundTrips) {
+  obs::Registry reg;
+  obs::Histogram& h = reg.histogram("net.rpc.latency_us");
+  for (const double us : {0.01, 35.0, 36.5, 900.0, 2e9}) h.observe(us);
+  const obs::MetricsSnapshot s = reg.snapshot();
+  ASSERT_EQ(s.histograms.size(), 1u);
+  ASSERT_EQ(s.histograms[0].edges.size(), obs::kHistogramEdges);
+
+  net::Writer w;
+  net::put_metrics_snapshot(w, s);
+  net::Reader r(w.buf);
+  obs::MetricsSnapshot got;
+  ASSERT_TRUE(net::get_metrics_snapshot(r, got));
+  EXPECT_TRUE(r.done());
+  const obs::HistogramSample* gh = got.histogram("net.rpc.latency_us");
+  ASSERT_NE(gh, nullptr);
+  EXPECT_EQ(gh->edges, obs::histogram_edges());
+  EXPECT_EQ(gh->counts, h.counts());
+  EXPECT_EQ(gh->sum, h.sum());
+  EXPECT_EQ(gh->count, 5u);
+}
+
+TEST(MetricsCodec, HistogramPastTheEdgeCapIsRefusedBeforeAllocating) {
+  // A histogram claiming one edge more than the cap is refused even when
+  // every byte it claims is present, and its edges are never allocated.
+  for (const std::uint32_t ne : {net::kMaxHistEdges + 1, 0xffffffffu}) {
+    net::Writer w;
+    w.u32(0);  // counters
+    w.u32(0);  // gauges
+    w.u32(1);  // histograms
+    net::put_string(w, "h.big");
+    w.u32(ne);
+    if (ne == net::kMaxHistEdges + 1) {
+      for (std::uint32_t i = 0; i < ne; ++i) w.f64(static_cast<double>(i));
+      for (std::uint32_t i = 0; i <= ne; ++i) w.u64(0);
+      w.f64(0.0);
+      w.u64(0);
+    }
+    net::Reader r(w.buf);
+    obs::MetricsSnapshot got;
+    EXPECT_FALSE(net::get_metrics_snapshot(r, got)) << ne;
+    ASSERT_EQ(got.histograms.size(), 1u);
+    EXPECT_EQ(got.histograms[0].edges.capacity(), 0u) << ne;
+    EXPECT_EQ(got.histograms[0].counts.capacity(), 0u) << ne;
+  }
 }
 
 TEST(MetricsCodec, HostileInputsAreRejectedNotTrusted) {

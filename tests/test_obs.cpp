@@ -1,15 +1,16 @@
 // Observability-layer tests: metrics registry semantics (sharded
-// counters under contention, histogram bucket boundaries, snapshot
-// lookups and exposition), trace-ring behavior (wraparound accounting,
-// Chrome JSON well-formedness, disabled-mode no-op), the span/counter
-// reconciliation over a real served workload, and the ServerStats
-// torn-pair hammer the consistency contract in server_stats.hpp names
-// (run under the CI TSan leg).
+// counters under contention, the histogram layout and its tail summary,
+// snapshot lookups and exposition), trace-ring behavior (wraparound
+// accounting, Chrome JSON well-formedness, disabled-mode no-op), the
+// span/ServerStats reconciliation over a real served workload, and the
+// ServerStats torn-pair hammer the consistency contract in
+// server_stats.hpp names (run under the CI TSan leg).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -46,10 +47,8 @@ TEST(Registry, GetOrRegisterReturnsStableReferences) {
   g.add(-2);
   EXPECT_EQ(reg.gauge("x.g").value(), 5);
 
-  obs::Histogram& h = reg.histogram("x.h", {1.0, 2.0});
-  EXPECT_EQ(&h, &reg.histogram("x.h", {1.0, 2.0}));
-  // The edge layout is part of the name's contract.
-  EXPECT_THROW(reg.histogram("x.h", {1.0, 3.0}), InvalidArgument);
+  obs::Histogram& h = reg.histogram("x.h");
+  EXPECT_EQ(&h, &reg.histogram("x.h"));
 }
 
 TEST(Registry, ConcurrentIncrementsAreNotLost) {
@@ -73,7 +72,7 @@ TEST(Registry, SnapshotLookupsAndReset) {
   reg.counter("b.count").inc(3);
   reg.counter("a.count").inc(1);
   reg.gauge("a.gauge").set(-4);
-  reg.histogram("a.hist", {10.0}).observe(5.0);
+  reg.histogram("a.hist").observe(5.0);
 
   const obs::MetricsSnapshot s = reg.snapshot();
   // Name-ascending order (scrapers diff snapshots positionally).
@@ -91,7 +90,8 @@ TEST(Registry, SnapshotLookupsAndReset) {
 
   reg.reset();
   EXPECT_EQ(reg.counter("b.count").value(), 0u);
-  EXPECT_EQ(reg.histogram("a.hist", {10.0}).count(), 0u);
+  EXPECT_EQ(reg.histogram("a.hist").count(), 0u);
+  EXPECT_EQ(reg.histogram("a.hist").max(), 0.0);
   // Registrations (and cached references) survive a reset.
   EXPECT_EQ(reg.snapshot().counters.size(), 2u);
 }
@@ -100,43 +100,113 @@ TEST(Registry, TextAndJsonExposition) {
   obs::Registry reg;
   reg.counter("c.one").inc(2);
   reg.gauge("g.one").set(9);
-  reg.histogram("h.one", {1.0, 5.0}).observe(3.0);
+  reg.histogram("h.one").observe(3.0);
 
   const obs::MetricsSnapshot s = reg.snapshot();
   const std::string text = s.to_text();
   EXPECT_NE(text.find("c.one 2"), std::string::npos);
   EXPECT_NE(text.find("g.one 9"), std::string::npos);
-  EXPECT_NE(text.find("le=\"5\""), std::string::npos) << text;
+  // Only the used bucket and the overflow bucket are printed.
+  EXPECT_NE(text.find("h.one_bucket{le=\"3.084"), std::string::npos) << text;
+  EXPECT_NE(text.find("h.one_bucket{le=\"+Inf\"} 0"), std::string::npos) << text;
+  EXPECT_EQ(text.find("h.one_bucket{le=\"4\"}"), std::string::npos) << text;
+  EXPECT_NE(text.find("h.one_count 1"), std::string::npos) << text;
 
   const std::string json = s.to_json();
   EXPECT_NE(json.find("\"counters\":{\"c.one\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"gauges\":{\"g.one\":9"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"h.one\":{\"edges\":[1,5]"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"h.one\":{\"edges\":[0.0625,"), std::string::npos) << json;
 }
 
-// --- histogram bucket boundaries ------------------------------------
+// --- the histogram layout -------------------------------------------
+
+/// Index of the one bucket whose count `v` raised.
+std::size_t bucket_of(double v) {
+  obs::Histogram h;
+  h.observe(v);
+  const std::vector<std::uint64_t> counts = h.counts();
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    if (counts[b] == 1) return b;
+  }
+  return counts.size();
+}
+
+TEST(Histogram, LayoutIsSixteenLogLinearBucketsPerOctave) {
+  const std::vector<double>& e = obs::histogram_edges();
+  ASSERT_EQ(e.size(), obs::kHistogramEdges);
+  EXPECT_EQ(e.front(), std::exp2(-4.0));
+  EXPECT_EQ(e.back(), std::exp2(30.0));
+  EXPECT_EQ(e[64], 1.0);  // every power of two is an edge
+  const double step = std::exp2(1.0 / 16.0);
+  for (std::size_t b = 1; b < e.size(); ++b) {
+    ASSERT_GT(e[b], e[b - 1]) << b;
+    // A bucket's upper edge is at most 2^(1/16) × its lower edge (each
+    // edge is exp2 rounded once, so allow that one rounding step).
+    ASSERT_LE(e[b], std::nextafter(e[b - 1] * step, HUGE_VAL)) << b;
+  }
+  obs::Histogram h;
+  EXPECT_EQ(h.counts().size(), obs::kHistogramEdges + 1);  // + overflow
+}
 
 TEST(Histogram, BucketEdgesAreInclusiveUpperBounds) {
-  obs::Histogram h({1.0, 2.0, 4.0});
-  // counts[b] counts v <= edges[b] (first matching bucket); the last
-  // slot is the +inf overflow.
-  h.observe(0.5);  // bucket 0
-  h.observe(1.0);  // bucket 0 (inclusive upper bound)
-  h.observe(1.5);  // bucket 1
-  h.observe(2.0);  // bucket 1
-  h.observe(4.0);  // bucket 2
-  h.observe(4.1);  // overflow
-  const std::vector<std::uint64_t> counts = h.counts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 2u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.5 + 2.0 + 4.0 + 4.1);
+  const std::vector<double>& e = obs::histogram_edges();
+  EXPECT_EQ(bucket_of(1.0), 64u);
+  EXPECT_EQ(bucket_of(std::nextafter(1.0, 2.0)), 65u);
+  EXPECT_EQ(bucket_of(e[65]), 65u);
+  EXPECT_EQ(bucket_of(std::nextafter(e[64], 0.0)), 64u);
+  // Values at or below 2^-4 land in bucket 0.
+  for (const double v : {std::exp2(-4.0), 0.01, 0.0, -3.0}) EXPECT_EQ(bucket_of(v), 0u) << v;
+  // 2^30 is the last edge; anything above it is overflow.
+  EXPECT_EQ(bucket_of(std::exp2(30.0)), obs::kHistogramEdges - 1);
+  for (const double v : {std::nextafter(std::exp2(30.0), 1e300), 1e12}) {
+    EXPECT_EQ(bucket_of(v), obs::kHistogramEdges) << v;
+  }
 
-  EXPECT_THROW(obs::Histogram({2.0, 1.0}), InvalidArgument);  // not ascending
-  EXPECT_THROW(obs::Histogram({}), InvalidArgument);          // empty
+  obs::Histogram h;
+  for (const double v : {0.5, 1.0, 1.5, 4.1}) h.observe(v);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.5 + 4.1);
+  EXPECT_EQ(h.max(), 4.1);
+}
+
+TEST(Histogram, TailIsTheBucketUpperEdgeCappedAtTheExactMax) {
+  obs::Histogram empty;
+  const obs::TailStats none = empty.tail();
+  EXPECT_EQ(none.samples, 0u);
+  EXPECT_EQ(none.p50, 0.0);
+  EXPECT_EQ(none.max, 0.0);
+
+  // 3.0 sits inside a bucket whose upper edge is 2^(26/16) ≈ 3.08: every
+  // quantile is capped at the exact max, 3.
+  obs::Histogram same;
+  for (int i = 0; i < 100; ++i) same.observe(3.0);
+  const obs::TailStats t = same.tail();
+  EXPECT_EQ(t.samples, 100u);
+  EXPECT_EQ(t.p50, 3.0);
+  EXPECT_EQ(t.p99, 3.0);
+  EXPECT_EQ(t.max, 3.0);
+
+  // 98 fast, 1 slow, 1 slowest: p50 and p95 read the fast bucket's
+  // upper edge; p99 (rank 99) reads the slow sample's bucket edge, below
+  // the max; a rank in the max's own bucket is capped at the max.
+  obs::Histogram mixed;
+  for (int i = 0; i < 98; ++i) mixed.observe(3.0);
+  mixed.observe(700.0);
+  mixed.observe(800.0);
+  const obs::TailStats m = mixed.tail();
+  const double fast_edge = obs::histogram_edges()[64 + 26];
+  EXPECT_EQ(m.p50, fast_edge);
+  EXPECT_EQ(m.p95, fast_edge);
+  EXPECT_GT(m.p99, 700.0);
+  EXPECT_LE(m.p99, 700.0 * std::exp2(1.0 / 16.0));
+  EXPECT_EQ(m.max, 800.0);
+  mixed.observe(800.0);
+  EXPECT_EQ(mixed.tail().p99, 800.0);  // rank 100 of 101: the 800 bucket, capped
+
+  // Past the last edge a rank lands in the overflow bucket: the max.
+  obs::Histogram over;
+  over.observe(std::exp2(31.0));
+  EXPECT_EQ(over.tail().p50, std::exp2(31.0));
 }
 
 // --- trace ring ------------------------------------------------------
@@ -279,14 +349,14 @@ std::shared_ptr<const serve::RequestData> make_payload(Index L, Index d, std::ui
   return data;
 }
 
-TEST_F(TraceTest, ServedWorkloadSpansReconcileWithRegistryCounters) {
+TEST_F(TraceTest, ServedWorkloadSpansReconcileWithServerStats) {
   const Index L = 32, d = 8;
   auto mask = std::make_shared<const Csr<float>>(build_csr_random(L, RandomParams{0.2, 3}));
   auto payload = make_payload(L, d, 17);
 
-  obs::MetricsSnapshot before = obs::Registry::global().snapshot();
   trace::set_enabled(true);
   constexpr Size kRequests = 48;
+  serve::StatsSnapshot st;
   {
     serve::ServerConfig cfg;
     cfg.workers = 1;
@@ -303,9 +373,9 @@ TEST_F(TraceTest, ServedWorkloadSpansReconcileWithRegistryCounters) {
     }
     for (auto& f : futures) ASSERT_EQ(f.get().status, serve::ResponseStatus::Ok);
     server.shutdown();
+    st = server.stats();
   }
   trace::set_enabled(false);
-  obs::MetricsSnapshot after = obs::Registry::global().snapshot();
   ASSERT_EQ(trace::dropped(), 0u) << "ring too small for the workload";
 
   const std::vector<trace::Event> events = trace::drain_snapshot();
@@ -331,13 +401,14 @@ TEST_F(TraceTest, ServedWorkloadSpansReconcileWithRegistryCounters) {
   EXPECT_EQ(ends, kRequests);
   EXPECT_EQ(items, kRequests);
 
-  // Spans and the registry's counters describe the same run.
-  EXPECT_EQ(after.counter("serve.requests.submitted") - before.counter("serve.requests.submitted"),
-            kRequests);
-  EXPECT_EQ(after.counter("serve.requests.completed") - before.counter("serve.requests.completed"),
-            kRequests);
-  EXPECT_EQ(after.counter("serve.batches") - before.counter("serve.batches"), dispatches);
-  EXPECT_EQ(after.counter("serve.batch.items") - before.counter("serve.batch.items"), items);
+  // Spans and the server's stats describe the same run; the batch items
+  // are Σ b · occupancy[b].
+  EXPECT_EQ(st.submitted, kRequests);
+  EXPECT_EQ(st.completed_ok, kRequests);
+  EXPECT_EQ(st.batches, dispatches);
+  Size batch_items = 0;
+  for (std::size_t b = 0; b < st.occupancy.size(); ++b) batch_items += b * st.occupancy[b];
+  EXPECT_EQ(batch_items, items);
 
   // Nesting: every item interval sits inside some dispatch interval
   // (items run on pool threads, so containment is by timestamp, not

@@ -323,6 +323,7 @@ int cmd_serve_bench_decode(const Args& args, serve::ServerConfig cfg, Size reque
   mc.prefix_dedup = args.get_index("dedup", 1) != 0;
   auto mgr = std::make_shared<kvcache::SessionManager>(mc);
   cfg.sessions = mgr;
+  const obs::MetricsSnapshot reg0 = obs::Registry::global().snapshot();
 
   Rng rng(11);
   Matrix<float> prompt_q(L, d), prompt_k(L, d), prompt_v(L, d), prompt_out(L, d);
@@ -369,6 +370,9 @@ int cmd_serve_bench_decode(const Args& args, serve::ServerConfig cfg, Size reque
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   server.shutdown();
   const auto s = server.stats();
+  const auto st = mgr->stats();
+  const obs::MetricsSnapshot reg1 = obs::Registry::global().snapshot();
+  const auto delta = [&](const char* name) { return reg1.counter(name) - reg0.counter(name); };
 
   std::cout << "completed:   " << ok.load() << " ok, " << rejected.load() << " rejected ("
             << s.rejected_session << " session, " << s.rejected_queue_full << " full, "
@@ -379,12 +383,12 @@ int cmd_serve_bench_decode(const Args& args, serve::ServerConfig cfg, Size reque
             << ", p99 " << s.latency_ms.p99 << "\n"
             << "batching:    " << s.batches << " dispatches, mean occupancy "
             << s.mean_batch_occupancy << "\n"
-            << "kvcache:     " << mgr->stats().pages_in_use << " pages in use, "
-            << mgr->stats().evictions << " evictions\n"
+            << "kvcache:     " << st.pages_in_use << " pages in use, "
+            << delta("kvcache.evictions") << " evictions\n"
             << "prompt cache: " << (mc.prefix_dedup ? "on" : "off") << ", "
-            << mgr->stats().pages_deduped << " pages deduped, "
-            << mgr->stats().prefix_hits << "/" << mgr->stats().prefix_lookups
-            << " hits, " << mgr->stats().prefix_entries << " cached pages\n";
+            << delta("kvcache.prefill.pages_adopted") << " pages deduped, "
+            << delta("kvcache.prefix.hits") << "/" << delta("kvcache.prefix.lookups")
+            << " hits, " << st.prefix_entries << " cached pages\n";
   if (s.rejected_session > 0) {
     std::cout << "note:        " << s.rejected_session
               << " decode requests named a session the server does not hold "
